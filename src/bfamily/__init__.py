@@ -48,16 +48,13 @@ from .experiments import (
 from .spectral import (
     Field,
     Grid,
-    SpectralCoeffs,
     derivative,
-    from_coeffs,
     helmholtz_inverse,
     homogeneous_hs_norm,
     hs_norm,
     make_grid,
     multiply,
     slobodeckij_seminorm,
-    to_coeffs,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, load_config
@@ -22,7 +23,7 @@ from .errors import (
     DegenerateProbeError,
     ExpDomainError,
 )
-from .experiments import NonUniformityConfig, nonuniformity_experiment, scaling_check
+from .experiments import nonuniformity_experiment, scaling_check
 from .io import (
     write_conservation_csv,
     write_diffeo_csv,
@@ -35,6 +36,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_BLOWUP = 2
 EXIT_ACCEPTANCE = 3
+
+CONSERVE_TOL = 1e-4  # default momentum-transport tolerance, also in sweep cells
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,20 +89,26 @@ def _write_lagrangian_snapshots(out: Path, traj) -> list:
     return entries
 
 
-def run_solve(cfg: RunConfig, out: Path, formulation: str) -> int:
-    out.mkdir(parents=True, exist_ok=True)
+def _setup(cfg: RunConfig, out: Path):
+    """Build the datum, params and solver; create --out only once all are valid."""
     grid = cfg.build_grid()
     u0 = cfg.build_field(grid)
     params = cfg.build_params()
     solver = cfg.build_solver(u0)
+    out.mkdir(parents=True, exist_ok=True)
+    return u0, params, solver
+
+
+def run_solve(cfg: RunConfig, out: Path, formulation: str) -> int:
+    if formulation not in ("eulerian", "lagrangian"):
+        raise ConfigError(f"unknown formulation '{formulation}'")
+    u0, params, solver = _setup(cfg, out)
     if formulation == "eulerian":
         traj = solve_eulerian(u0, params, solver)
         snapshots = _write_eulerian_snapshots(out, traj)
-    elif formulation == "lagrangian":
+    else:
         traj = solve_geodesic(u0, params, solver)
         snapshots = _write_lagrangian_snapshots(out, traj)
-    else:
-        raise ConfigError(f"unknown formulation '{formulation}'")
     manifest = _base_manifest(
         cfg,
         formulation=formulation,
@@ -113,11 +122,7 @@ def run_solve(cfg: RunConfig, out: Path, formulation: str) -> int:
 
 
 def run_conserve(cfg: RunConfig, out: Path, tol: float) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    grid = cfg.build_grid()
-    u0 = cfg.build_field(grid)
-    params = cfg.build_params()
-    solver = cfg.build_solver(u0)
+    u0, params, solver = _setup(cfg, out)
     traj = solve_geodesic(u0, params, solver)
     report = conservation_residual(traj, params, relative=True)
     write_conservation_csv(out / "report.csv", report)
@@ -137,21 +142,8 @@ def run_conserve(cfg: RunConfig, out: Path, tol: float) -> int:
 
 
 def run_nonuniform(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
+    experiment = cfg.build_experiment(cfg.build_grid())
     out.mkdir(parents=True, exist_ok=True)
-    grid = cfg.build_grid()
-    u0 = cfg.build_field(grid, "initial")
-    v = cfg.build_field(grid, "probe")
-    params = cfg.build_params()
-    solver = cfg.build_solver(u0)
-    experiment = NonUniformityConfig(
-        u0=u0,
-        v=v,
-        params=params,
-        R=cfg["experiment.R"],
-        n_values=cfg["experiment.n_values"],
-        solver=solver,
-        eps_dexp=cfg["experiment.eps_dexp"],
-    )
     report = nonuniformity_experiment(experiment, jobs=jobs)
     write_experiment_csv(out / "report.csv", report)
     persistent = report.separation_persistence_ok()
@@ -162,20 +154,14 @@ def run_nonuniform(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
         L_est=report.L_est,
         resolved_n=[r.n for r in report.resolved_rows()],
         separation_persistent=persistent,
-        **_effective(params, solver),
+        **_effective(experiment.params, experiment.solver),
     )
     write_json(out / "manifest.json", manifest)
     return EXIT_OK if persistent else EXIT_ACCEPTANCE
 
 
 def run_exp(cfg: RunConfig, out: Path) -> int:
-    from dataclasses import replace
-
-    out.mkdir(parents=True, exist_ok=True)
-    grid = cfg.build_grid()
-    v = cfg.build_field(grid)
-    params = cfg.build_params()
-    solver = cfg.build_solver(v)
+    v, params, solver = _setup(cfg, out)
     traj = solve_geodesic(v, params, replace(solver, T=1.0))
     if traj.termination != COMPLETED:
         manifest = _base_manifest(
@@ -196,11 +182,7 @@ def run_exp(cfg: RunConfig, out: Path) -> int:
 
 
 def run_scalecheck(cfg: RunConfig, out: Path, tol: float | None) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    grid = cfg.build_grid()
-    u0 = cfg.build_field(grid)
-    params = cfg.build_params()
-    solver = cfg.build_solver(u0)
+    u0, params, solver = _setup(cfg, out)
     lam = cfg["experiment.lambda"]
     residual = scaling_check(u0, lam, cfg["solver.T"], params, solver)
     manifest = _base_manifest(
@@ -216,39 +198,48 @@ def run_scalecheck(cfg: RunConfig, out: Path, tol: float | None) -> int:
     return EXIT_OK
 
 
-_WRAPPED_RUNNERS = {"solve", "conserve", "nonuniform", "exp", "scalecheck"}
+# command -> runner(cfg, out, options); options carries the parsed flags
+# (formulation, tol, jobs) of the command line or of a sweep cell
+_RUNNERS = {
+    "solve": lambda cfg, out, opt: run_solve(cfg, out, opt.formulation),
+    "conserve": lambda cfg, out, opt: run_conserve(cfg, out, opt.tol),
+    "nonuniform": lambda cfg, out, opt: run_nonuniform(cfg, out, opt.jobs),
+    "exp": lambda cfg, out, opt: run_exp(cfg, out),
+    "scalecheck": lambda cfg, out, opt: run_scalecheck(cfg, out, opt.tol),
+}
+
+
+def _exit_code(run, *args) -> int:
+    """Run a command, mapping package errors onto the exit-code protocol."""
+    try:
+        return run(*args)
+    except (ConfigError, DegenerateProbeError) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ExpDomainError as err:
+        print(f"blow-up: {err}", file=sys.stderr)
+        return EXIT_BLOWUP
+    except BFamilyError as err:
+        print(f"run failed: {err}", file=sys.stderr)
+        return EXIT_BLOWUP
 
 
 def _run_cell(payload) -> int:
     command, values, out_dir, formulation, tol = payload
-    cfg = RunConfig(command, values)
-    out = Path(out_dir)
-    try:
-        if command == "solve":
-            return run_solve(cfg, out, formulation)
-        if command == "conserve":
-            return run_conserve(cfg, out, tol if tol is not None else 1e-4)
-        if command == "nonuniform":
-            return run_nonuniform(cfg, out)
-        if command == "exp":
-            return run_exp(cfg, out)
-        if command == "scalecheck":
-            return run_scalecheck(cfg, out, tol)
-        return EXIT_CONFIG
-    except (ConfigError, DegenerateProbeError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BFamilyError as err:
-        print(f"run failed: {err}", file=sys.stderr)
-        return EXIT_BLOWUP
+    if command == "conserve" and tol is None:
+        tol = CONSERVE_TOL
+    options = argparse.Namespace(formulation=formulation, tol=tol, jobs=1)
+    return _exit_code(
+        _RUNNERS[command], RunConfig(command, values), Path(out_dir), options
+    )
 
 
 def run_sweep(cfg: RunConfig, out: Path, jobs: int, formulation: str, tol) -> int:
     from .config import _schema_for
 
     wrapped = cfg["sweep.command"]
-    if wrapped not in _WRAPPED_RUNNERS:
-        raise ConfigError(f"sweep.command must be one of {sorted(_WRAPPED_RUNNERS)}")
+    if wrapped not in _RUNNERS:
+        raise ConfigError(f"sweep.command must be one of {sorted(_RUNNERS)}")
     b_values = cfg["sweep.b"] or (cfg["params.b"],)
     n_values = cfg["sweep.N"] or (cfg["grid.N"],)
     # resolve the wrapped command's schema against the actual values so
@@ -327,7 +318,7 @@ def build_parser() -> _Parser:
 
     p_cons = sub.add_parser("conserve", help="momentum-transport residual check")
     common(p_cons)
-    p_cons.add_argument("--tol", type=float, default=1e-4)
+    p_cons.add_argument("--tol", type=float, default=CONSERVE_TOL)
 
     p_non = sub.add_parser("nonuniform", help="shrinking-bump separation experiment")
     common(p_non)
@@ -351,33 +342,16 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        out = Path(args.out)
-        if args.command == "sweep":
-            cfg = load_config(args.config, "sweep")
-            return run_sweep(cfg, out, args.jobs, args.formulation, args.tol)
-        cfg = load_config(args.config, args.command)
-        if args.command == "solve":
-            return run_solve(cfg, out, args.formulation)
-        if args.command == "conserve":
-            return run_conserve(cfg, out, args.tol)
-        if args.command == "nonuniform":
-            return run_nonuniform(cfg, out, args.jobs)
-        if args.command == "exp":
-            return run_exp(cfg, out)
-        if args.command == "scalecheck":
-            return run_scalecheck(cfg, out, args.tol)
-        raise ConfigError(f"unknown command {args.command}")
-    except (ConfigError, DegenerateProbeError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ExpDomainError as err:
-        print(f"blow-up: {err}", file=sys.stderr)
-        return EXIT_BLOWUP
-    except BFamilyError as err:
-        print(f"run failed: {err}", file=sys.stderr)
-        return EXIT_BLOWUP
+    return _exit_code(_main, argv)
+
+
+def _main(argv) -> int:
+    args = build_parser().parse_args(argv)
+    cfg = load_config(args.config, args.command)
+    out = Path(args.out)
+    if args.command == "sweep":
+        return run_sweep(cfg, out, args.jobs, args.formulation, args.tol)
+    return _RUNNERS[args.command](cfg, out, args)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ share a hash regardless of formatting.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,21 +61,20 @@ _SWEEP_KEYS = {
 
 
 def _coerce(kind: str, raw: str, key: str, line: int):
+    """Parse one value; floats must be finite (nan and inf are rejected)."""
+    if kind == "str":
+        return raw
+    parse = float if kind.startswith("float") else int
+    is_list = kind.endswith("_list")
+    parts = raw.split(",") if is_list else [raw]
     try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            value = int(raw)
-            return value
-        if kind == "str":
-            return raw
-        if kind == "int_list":
-            return tuple(int(p.strip()) for p in raw.split(",") if p.strip())
-        if kind == "float_list":
-            return tuple(float(p.strip()) for p in raw.split(",") if p.strip())
+        values = tuple(parse(p.strip()) for p in parts if p.strip())
+        if all(math.isfinite(v) for v in values):
+            return values if is_list else values[0]
     except ValueError:
         pass
-    raise ConfigError(f"line {line}: cannot parse '{key} = {raw}' as {kind}")
+    what = f"finite {kind}" if parse is float else kind
+    raise ConfigError(f"line {line}: cannot parse '{key} = {raw}' as {what}")
 
 
 def parse_pairs(text: str):
@@ -158,44 +159,43 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
     def build_grid(self) -> Grid:
-        try:
+        with _validating():
             return make_grid(self["grid.L"], self["grid.N"])
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
 
     def build_field(self, grid: Grid, prefix: str = "initial") -> Field:
         family = self[f"{prefix}.family"]
-        if family == "gaussian":
-            amp = self[f"{prefix}.amp"]
-            width = self[f"{prefix}.width"]
-            center = self[f"{prefix}.center"]
-            return Field(grid, amp * np.exp(-(((grid.x - center) / width) ** 2)))
-        if family == "bump":
-            from .experiments import build_bump
+        with _validating():
+            if family == "gaussian":
+                amp = self[f"{prefix}.amp"]
+                width = self[f"{prefix}.width"]
+                center = self[f"{prefix}.center"]
+                return Field(grid, amp * np.exp(-(((grid.x - center) / width) ** 2)))
+            if family == "bump":
+                from .experiments import build_bump
 
-            return build_bump(
-                self[f"{prefix}.center"],
-                self[f"{prefix}.radius"],
-                self[f"{prefix}.s_norm"],
-                self[f"{prefix}.target"],
-                grid,
-            )
-        if family == "mode":
-            k = self[f"{prefix}.k"]
-            xi = np.pi * k / grid.half_length
-            return Field(grid, self[f"{prefix}.amp"] * np.sin(xi * grid.x))
-        if family == "file":
-            from .io import read_field_csv
-
-            try:
-                field = read_field_csv(self[f"{prefix}.path"])
-            except OSError as err:
-                raise ConfigError(f"{prefix}.path: {err}") from err
-            if field.grid != grid:
-                raise ConfigError(
-                    f"{prefix}.path: field grid does not match grid.L/grid.N"
+                return build_bump(
+                    self[f"{prefix}.center"],
+                    self[f"{prefix}.radius"],
+                    self[f"{prefix}.s_norm"],
+                    self[f"{prefix}.target"],
+                    grid,
                 )
-            return field
+            if family == "mode":
+                k = self[f"{prefix}.k"]
+                xi = np.pi * k / grid.half_length
+                return Field(grid, self[f"{prefix}.amp"] * np.sin(xi * grid.x))
+            if family == "file":
+                from .io import read_field_csv
+
+                try:
+                    field = read_field_csv(self[f"{prefix}.path"])
+                except OSError as err:
+                    raise ConfigError(f"{prefix}.path: {err}") from err
+                if field.grid != grid:
+                    raise ConfigError(
+                        f"{prefix}.path: field grid does not match grid.L/grid.N"
+                    )
+                return field
         raise ConfigError(f"unknown family '{family}'")
 
     def build_solver(self, u0: Field):
@@ -204,7 +204,7 @@ class RunConfig:
         dt = self["solver.dt"]
         if dt is None:
             dt = default_dt(u0)
-        try:
+        with _validating():
             return SolverConfig(
                 dt=dt,
                 T=self["solver.T"],
@@ -212,16 +212,38 @@ class RunConfig:
                 blowup_norm_cap=self["solver.norm_cap"],
                 min_phix=self["solver.min_phix"],
             )
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
 
     def build_params(self):
         from .dynamics import BParams
 
-        try:
+        with _validating():
             return BParams(b=self["params.b"], s=self["params.s"])
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+
+    def build_experiment(self, grid: Grid):
+        """The nonuniform experiment: base point, probe, params and solver."""
+        from .experiments import NonUniformityConfig
+
+        u0 = self.build_field(grid, "initial")
+        v = self.build_field(grid, "probe")
+        with _validating():
+            return NonUniformityConfig(
+                u0=u0,
+                v=v,
+                params=self.build_params(),
+                R=self["experiment.R"],
+                n_values=self["experiment.n_values"],
+                solver=self.build_solver(u0),
+                eps_dexp=self["experiment.eps_dexp"],
+            )
+
+
+@contextmanager
+def _validating():
+    """Report a ValueError raised while building run objects as a ConfigError."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def load_config(path, command: str) -> RunConfig:

@@ -33,7 +33,7 @@ def evaluate_field(f: Field, points: np.ndarray) -> np.ndarray:
     n = grid.n_points
     half = n // 2
     L = grid.half_length
-    coeffs = np.fft.fft(f.values)
+    coeffs = grid.rfft(f.values)  # modes 0..N/2
     theta = (np.pi / L) * (np.asarray(points, dtype=np.float64) - grid.x[0])
     z = np.exp(1j * theta)
     acc = np.zeros(theta.shape, dtype=np.complex128)

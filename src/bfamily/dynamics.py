@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .errors import (
     PositivityError,
     SolverError,
 )
-from .spectral import Field, Grid, hs_norm
+from .spectral import Field, Grid
 
 COMPLETED = "completed"
 BLOWUP_NORM = "blowup_norm"
@@ -114,62 +113,39 @@ def default_dt(u0: Field) -> float:
     return min(1e-3, 0.5 * u0.grid.spacing / peak)
 
 
-@lru_cache(maxsize=16)
-def _ops(grid: Grid):
-    """Per-grid spectral symbols shared by the hot loops."""
-    xi = grid.xi
-    ik1 = (1j * xi).copy()
-    ik1[grid.n_points // 2] = 0.0
-    k = np.fft.fftfreq(grid.n_points, d=1.0 / grid.n_points)
-    mask = (np.abs(k) <= grid.n_points // 3).astype(float)
-    return {
-        "ik1": ik1,
-        "m2": -(xi**2),
-        "helm_inv": 1.0 / (1.0 + xi**2),
-        "mask": mask,
-    }
-
-
-def _d1_d2(v: np.ndarray, ops):
-    spec = np.fft.fft(v)
-    return (
-        np.fft.ifft(ops["ik1"] * spec).real,
-        np.fft.ifft(ops["m2"] * spec).real,
-    )
-
-
-def _mult(a: np.ndarray, b: np.ndarray, ops) -> np.ndarray:
-    """Dealiased product: truncate both factors and the result at |k| <= N//3."""
-    mask = ops["mask"]
-    at = np.fft.ifft(mask * np.fft.fft(a)).real
-    bt = np.fft.ifft(mask * np.fft.fft(b)).real
-    return np.fft.ifft(mask * np.fft.fft(at * bt)).real
-
-
-def _helm_inv(v: np.ndarray, ops) -> np.ndarray:
-    return np.fft.ifft(ops["helm_inv"] * np.fft.fft(v)).real
-
-
-def _rhs_eulerian_arr(u: np.ndarray, b: float, ops) -> np.ndarray:
-    ux, uxx = _d1_d2(u, ops)
-    uux = _mult(u, ux, ops)
-    uxuxx = _mult(ux, uxx, ops)
-    return -uux + _helm_inv(-b * uux + (b - 3.0) * uxuxx, ops)
+def _rhs_eulerian_arr(grid: Grid, u: np.ndarray, b: float) -> np.ndarray:
+    # one truncated spectrum gives u, u_x and u_xx; -u u_x and the
+    # Helmholtz term are combined before the single inverse transform
+    spec = grid.keep * grid.rfft(u)
+    ut = grid.irfft(spec)
+    ux = grid.irfft(grid.d1 * spec)
+    uxx = grid.irfft(grid.d2 * spec)
+    uux = grid.product(ut, ux)
+    uxuxx = grid.product(ux, uxx)
+    return grid.irfft(-uux + grid.helmholtz * (-b * uux + (b - 3.0) * uxuxx))
 
 
 def rhs_eulerian(u: Field, params: BParams) -> Field:
     """Right-hand side of the nonlocal velocity form."""
-    return Field(u.grid, _rhs_eulerian_arr(u.values, params.b, _ops(u.grid)))
+    return Field(u.grid, _rhs_eulerian_arr(u.grid, u.values, params.b))
 
 
-def _christoffel_id_arr(grid: Grid, b: float, v: np.ndarray, w: np.ndarray):
-    ops = _ops(grid)
-    vx, vxx = _d1_d2(v, ops)
-    wx, wxx = _d1_d2(w, ops)
-    bil = -(b / 2.0) * (_mult(v, wx, ops) + _mult(w, vx, ops)) + (
-        (b - 3.0) / 2.0
-    ) * (_mult(vx, wxx, ops) + _mult(wx, vxx, ops))
-    return _helm_inv(bil, ops)
+def _bilinear(grid: Grid, b: float, v_spec, d1: np.ndarray, d2: np.ndarray):
+    """Spectrum of -b v d1 + (b-3) d1 d2, factors and products 2/3-truncated.
+
+    v enters through its spectrum; d1, d2 are the (conjugated) first and
+    second derivatives of v as samples.
+    """
+    vt = grid.truncated(v_spec)
+    d1t = grid.truncated(grid.rfft(d1))
+    d2t = grid.truncated(grid.rfft(d2))
+    return -b * grid.product(vt, d1t) + (b - 3.0) * grid.product(d1t, d2t)
+
+
+def _christoffel_id_diag(grid: Grid, b: float, v: np.ndarray) -> np.ndarray:
+    spec = grid.rfft(v)
+    vx, vxx = grid.irfft(grid.d1 * spec), grid.irfft(grid.d2 * spec)
+    return grid.irfft(grid.helmholtz * _bilinear(grid, b, spec, vx, vxx))
 
 
 def christoffel_id(v: Field, w: Field, params: BParams) -> Field:
@@ -177,10 +153,20 @@ def christoffel_id(v: Field, w: Field, params: BParams) -> Field:
 
     B(v, w) = -(b/2)(v w_x + w v_x) + ((b-3)/2)(v_x w_xx + w_x v_xx),
     so the diagonal reproduces -b v v_x + (b-3) v_x v_xx; the value is
-    the Helmholtz inverse of B.
+    the Helmholtz inverse of B.  The diagonal takes the path of
+    christoffel_at, so the two agree bit for bit at phi = id.
     """
     v._check_same_grid(w)
-    return Field(v.grid, _christoffel_id_arr(v.grid, params.b, v.values, w.values))
+    grid, b = v.grid, params.b
+    if np.array_equal(v.values, w.values):
+        return Field(grid, _christoffel_id_diag(grid, b, v.values))
+    vs, ws = grid.rfft(v.values), grid.rfft(w.values)
+    vt, vx, vxx = (grid.truncated(m * vs) for m in (1.0, grid.d1, grid.d2))
+    wt, wx, wxx = (grid.truncated(m * ws) for m in (1.0, grid.d1, grid.d2))
+    bil = -(b / 2.0) * (grid.product(vt, wx) + grid.product(wt, vx)) + (
+        (b - 3.0) / 2.0
+    ) * (grid.product(vx, wxx) + grid.product(wx, vxx))
+    return Field(grid, grid.irfft(grid.helmholtz * bil))
 
 
 def _christoffel_at_arr(
@@ -193,36 +179,37 @@ def _christoffel_at_arr(
     initial: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gamma_phi(v, v) in flow coordinates, phi = id + disp."""
-    ops = _ops(grid)
-    fx, fxx = _d1_d2(disp, ops)
+    disp_spec = grid.rfft(disp)
+    fx, fxx = grid.irfft(grid.d1 * disp_spec), grid.irfft(grid.d2 * disp_spec)
     phi_x = 1.0 + fx
     if np.min(phi_x) <= 0.0:
         raise PositivityError(
             f"flow map degenerated inside a stage (min phi_x = {np.min(phi_x):.3e})"
         )
-    vx, vxx = _d1_d2(v, ops)
+    spec = grid.rfft(v)
+    vx, vxx = grid.irfft(grid.d1 * spec), grid.irfft(grid.d2 * spec)
+    phi_x2, phi_x3 = phi_x**2, phi_x**3
     d1 = vx / phi_x
-    d2 = vxx / phi_x**2 - vx * fxx / phi_x**3
-    bil = -b * _mult(v, d1, ops) + (b - 3.0) * _mult(d1, d2, ops)
+    d2 = vxx / phi_x2 - vx * fxx / phi_x3
+    bil = _bilinear(grid, b, spec, d1, d2)
 
-    bnorm = float(np.linalg.norm(bil))
+    bnorm = grid.norm(bil)
     if bnorm == 0.0:
         return np.zeros_like(v)
 
-    def apply_conjugated_helmholtz(g):
-        gx, gxx = _d1_d2(g, ops)
-        return g - (gxx / phi_x**2 - gx * fxx / phi_x**3)
-
-    # warm starts (the previous stage's solution) cut the iteration count
-    # roughly in half inside the time loops
-    g = _helm_inv(bil, ops) if initial is None else initial
+    # the iterate g is kept as its spectrum; the residual of the conjugated
+    # Helmholtz operator, bil - (g - g_xx/phi_x^2 + g_x phi_xx/phi_x^3), is
+    # formed in spectral space as well.  Warm starts (the previous stage's
+    # solution) cut the iteration count roughly in half in the time loops
+    g = grid.helmholtz * bil if initial is None else grid.rfft(initial)
     prev = np.inf
     stalls = 0
     for _ in range(max_iter):
-        resid = bil - apply_conjugated_helmholtz(g)
-        rnorm = float(np.linalg.norm(resid))
+        gx, gxx = grid.irfft(grid.d1 * g), grid.irfft(grid.d2 * g)
+        resid = bil - g + grid.rfft(gxx / phi_x2 - gx * fxx / phi_x3)
+        rnorm = grid.norm(resid)
         if rnorm <= tol * bnorm:
-            return g
+            return grid.irfft(g)
         if rnorm >= 0.98 * prev:
             stalls += 1
             if stalls >= 5:
@@ -230,11 +217,11 @@ def _christoffel_at_arr(
         else:
             stalls = 0
         prev = rnorm
-        g = g + _helm_inv(resid, ops)
+        g = g + grid.helmholtz * resid
     # stalled or out of iterations: literal pipeline via explicit inversion
     phi = Diffeomorphism(grid, Field(grid, disp))
     pulled = compose_field(Field(grid, v), invert(phi)).values
-    gamma_flat = Field(grid, _christoffel_id_arr(grid, b, pulled, pulled))
+    gamma_flat = Field(grid, _christoffel_id_diag(grid, b, pulled))
     return compose_field(gamma_flat, phi).values
 
 
@@ -272,7 +259,6 @@ def _step_times(config: SolverConfig):
 def solve_eulerian(u0: Field, params: BParams, config: SolverConfig) -> Trajectory:
     """Classical RK4 on the nonlocal velocity form with fixed dt."""
     grid = u0.grid
-    ops = _ops(grid)
     b = params.b
     u = u0.values.copy()
     times = [0.0]
@@ -280,16 +266,16 @@ def solve_eulerian(u0: Field, params: BParams, config: SolverConfig) -> Trajecto
     termination = COMPLETED
     steps = _step_times(config)
     for k, dt in enumerate(steps):
-        k1 = _rhs_eulerian_arr(u, b, ops)
-        k2 = _rhs_eulerian_arr(u + 0.5 * dt * k1, b, ops)
-        k3 = _rhs_eulerian_arr(u + 0.5 * dt * k2, b, ops)
-        k4 = _rhs_eulerian_arr(u + dt * k3, b, ops)
+        k1 = _rhs_eulerian_arr(grid, u, b)
+        k2 = _rhs_eulerian_arr(grid, u + 0.5 * dt * k1, b)
+        k3 = _rhs_eulerian_arr(grid, u + 0.5 * dt * k2, b)
+        k4 = _rhs_eulerian_arr(grid, u + dt * k3, b)
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         last = k == len(steps) - 1
         t = config.T if last else (k + 1) * config.dt
         if not np.all(np.isfinite(u)):
             raise SolverError(f"solution lost finiteness at t = {t:.6g}", time=t)
-        blown = hs_norm(Field(grid, u), params.s) > config.blowup_norm_cap
+        blown = grid.norm(grid.rfft(u), params.s) > config.blowup_norm_cap
         if blown or last or (k + 1) % config.snapshot_stride == 0:
             times.append(t)
             states.append(Field(grid, u))

@@ -1,14 +1,17 @@
-"""Periodic grid, FFT-based operators, and fractional Sobolev norms.
+"""Periodic grid, real-FFT spectral kernel, and fractional Sobolev norms.
 
 Everything lives on a uniform grid over the cell [-L, L) with N a power of
-two.  Wavenumbers are xi_k = pi*k/L for k = -N/2 .. N/2-1.  Norms are
-normalized so that the s = 0 Sobolev norm coincides with the rectangle-rule
-L^2 norm of the samples, sqrt(h * sum(values**2)).
+two.  Fields are real, so the kernel works on the half spectrum k = 0..N/2
+(numpy's rfft/irfft) with wavenumbers xi_k = pi*k/L; the grid carries the
+multipliers of the derivative, the Helmholtz inverse and the 2/3 dealiasing
+mask on that half spectrum.  Norms are normalized so that the s = 0 Sobolev
+norm coincides with the rectangle-rule L^2 norm of the samples,
+sqrt(h * sum(values**2)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +22,20 @@ SUPPORT_RTOL = 1e-14  # relative threshold for numerical support detection
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [-L, L) with N points, N a power of two."""
+    """Uniform periodic grid on [-L, L) with N points, N a power of two.
+
+    Construction also fixes the sample points x and the half-spectrum
+    symbols (modes k = 0..N/2) that the array kernel below uses:
+      xi         wavenumbers pi*k/L
+      d1, d2     d/dx (i xi, with the unpaired Nyquist mode zeroed so odd
+                 derivatives stay real) and d^2/dx^2 (-xi^2)
+      helmholtz  1/(1 + xi^2), the inverse of 1 - d^2/dx^2
+      keep       1.0 on the dealiased band |k| <= N//3, else 0.0
+      weights    L^2 weights of |c_k|^2 (modes 0 < k < N/2 count twice)
+    """
 
     half_length: float
     n_points: int
-    x: np.ndarray = field(init=False, compare=False, repr=False)
-    xi: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         L, N = self.half_length, self.n_points
@@ -33,14 +44,53 @@ class Grid:
         if N < 16 or (N & (N - 1)) != 0:
             raise GridError(f"n_points must be a power of two >= 16, got {N}")
         h = 2.0 * L / N
-        object.__setattr__(self, "x", (-L + h * np.arange(N)).copy())
-        object.__setattr__(self, "xi", 2.0 * np.pi * np.fft.fftfreq(N, d=h))
-        self.x.flags.writeable = False
-        self.xi.flags.writeable = False
+        k = np.arange(N // 2 + 1)
+        xi = (np.pi / L) * k
+        d1 = 1j * xi
+        d1[-1] = 0.0
+        weights = np.full(k.shape, 2.0 * h / N)
+        weights[[0, -1]] = h / N
+        for name, value in (
+            ("x", -L + h * np.arange(N)),
+            ("xi", xi),
+            ("d1", d1),
+            ("d2", -(xi**2)),
+            ("helmholtz", 1.0 / (1.0 + xi**2)),
+            ("keep", (k <= N // 3).astype(float)),
+            ("weights", weights),
+        ):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def spacing(self) -> float:
         return 2.0 * self.half_length / self.n_points
+
+    def rfft(self, values: np.ndarray) -> np.ndarray:
+        """Half spectrum (modes k = 0..N/2) of real samples."""
+        return np.fft.rfft(values)
+
+    def irfft(self, spec: np.ndarray) -> np.ndarray:
+        """Real samples whose half spectrum is spec."""
+        return np.fft.irfft(spec, self.n_points)
+
+    def truncated(self, spec: np.ndarray) -> np.ndarray:
+        """Samples of the field with half spectrum spec, cut to |k| <= N//3."""
+        return self.irfft(self.keep * spec)
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Half spectrum of a*b truncated to |k| <= N//3.
+
+        With a and b already truncated to that band, the retained band of
+        the product is free of aliased images (N//3 < N/3), so this is the
+        exact truncation of the true product.
+        """
+        return self.keep * self.rfft(a * b)
+
+    def norm(self, spec: np.ndarray, s: float = 0.0) -> float:
+        """H^s norm sqrt(sum (1+xi^2)^s |c_k|^2) of the field with half spectrum spec."""
+        weights = self.weights if s == 0 else self.weights * (1.0 + self.xi**2) ** s
+        return float(np.sqrt(np.sum(weights * np.abs(spec) ** 2)))
 
 
 def make_grid(L: float, N: int) -> Grid:
@@ -96,26 +146,6 @@ class Field:
         return Field(self.grid, -self.values)
 
 
-@dataclass(eq=False)
-class SpectralCoeffs:
-    """DFT modes of a real field, numpy fft ordering (k = 0..N/2-1, -N/2..-1)."""
-
-    grid: Grid
-    modes: np.ndarray
-
-
-def to_coeffs(f: Field) -> SpectralCoeffs:
-    return SpectralCoeffs(f.grid, np.fft.fft(f.values))
-
-
-def from_coeffs(c: SpectralCoeffs) -> Field:
-    return Field(c.grid, np.fft.ifft(c.modes).real)
-
-
-def _apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
-    return Field(f.grid, np.fft.ifft(symbol * np.fft.fft(f.values)).real)
-
-
 def derivative(f: Field, k: int) -> Field:
     """Spectral derivative of order k in {1, 2, 3}.
 
@@ -124,64 +154,44 @@ def derivative(f: Field, k: int) -> Field:
     """
     if k not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {k}")
-    symbol = (1j * f.grid.xi) ** k
-    if k % 2 == 1:
-        symbol = symbol.copy()
-        symbol[f.grid.n_points // 2] = 0.0
-    return _apply_multiplier(f, symbol)
+    g = f.grid
+    symbol = (g.d1, g.d2, g.d1 * g.d2)[k - 1]
+    return Field(g, g.irfft(symbol * g.rfft(f.values)))
 
 
 def helmholtz_inverse(f: Field) -> Field:
     """Invert 1 - d^2/dx^2 via the Fourier multiplier 1/(1 + xi^2)."""
-    return _apply_multiplier(f, 1.0 / (1.0 + f.grid.xi**2))
+    g = f.grid
+    return Field(g, g.irfft(g.helmholtz * g.rfft(f.values)))
 
 
 def dealias_mask(grid: Grid) -> np.ndarray:
-    """Boolean mask keeping the lowest 2/3 of modes (|k| <= N//3)."""
+    """Boolean mask keeping |k| <= N//3, over the full spectrum in numpy fft order."""
     k = np.fft.fftfreq(grid.n_points, d=1.0 / grid.n_points)
     return np.abs(k) <= grid.n_points // 3
 
 
-def truncate(f: Field) -> Field:
-    """Zero the top third of the spectrum (2/3-rule truncation)."""
-    return _apply_multiplier(f, dealias_mask(f.grid).astype(float))
-
-
 def multiply(f: Field, g: Field, dealias: bool = False) -> Field:
-    """Pointwise product; with dealias, 2/3-truncate both inputs and the result.
-
-    Truncating at |k| <= N//3 < N/3 keeps the retained band of the product
-    free of aliased images, so the dealiased product is the exact spectral
-    truncation of the true product of the truncated inputs.
-    """
+    """Pointwise product; with dealias, 2/3-truncate both inputs and the result."""
     f._check_same_grid(g)
     if not dealias:
         return Field(f.grid, f.values * g.values)
-    ft = truncate(f)
-    gt = truncate(g)
-    return truncate(Field(f.grid, ft.values * gt.values))
-
-
-def _normalized_coeffs(f: Field) -> np.ndarray:
-    # |c_k|^2 sums to the rectangle-rule L^2 norm squared (h*N = 2L).
-    h = f.grid.spacing
-    return np.fft.fft(f.values) * (h / np.sqrt(2.0 * f.grid.half_length))
+    grid = f.grid
+    ft = grid.truncated(grid.rfft(f.values))
+    gt = grid.truncated(grid.rfft(g.values))
+    return Field(grid, grid.irfft(grid.product(ft, gt)))
 
 
 def hs_norm(f: Field, s: float) -> float:
     """Sobolev H^s norm: sqrt(sum (1+xi^2)^s |c_k|^2); s = 0 is the L^2 norm."""
-    c = _normalized_coeffs(f)
-    return float(np.sqrt(np.sum((1.0 + f.grid.xi**2) ** s * np.abs(c) ** 2)))
+    return f.grid.norm(f.grid.rfft(f.values), s)
 
 
 def homogeneous_hs_norm(f: Field, s: float) -> float:
     """Homogeneous seminorm sqrt(sum_{k != 0} |xi_k|^{2s} |c_k|^2)."""
-    c = _normalized_coeffs(f)
-    xi = f.grid.xi
-    weights = np.zeros_like(xi)
-    nz = xi != 0.0
-    weights[nz] = np.abs(xi[nz]) ** (2.0 * s)
-    return float(np.sqrt(np.sum(weights * np.abs(c) ** 2)))
+    g = f.grid
+    power = g.weights[1:] * np.abs(g.rfft(f.values)[1:]) ** 2
+    return float(np.sqrt(np.sum(g.xi[1:] ** (2.0 * s) * power)))
 
 
 def support_indices(values: np.ndarray) -> np.ndarray:

@@ -2,11 +2,7 @@
 
 import hashlib
 import json
-import platform
-import sys
 from pathlib import Path
-
-import numpy as np
 
 GOLDEN = Path(__file__).parent / "golden" / "solve_hashes.json"
 
@@ -34,24 +30,13 @@ def tree_digest(root: Path) -> str:
     return acc.hexdigest()
 
 
-def platform_profile() -> str:
-    return (
-        f"py{sys.version_info.major}.{sys.version_info.minor}"
-        f"-np{np.__version__}-{sys.platform}-{platform.machine()}"
-    )
-
-
 def check_golden(key: str, digest: str):
-    """Compare against the stored hash for this platform profile.
+    """Compare against the stored hash of this formulation; never writes.
 
-    Unknown profiles self-seed so the regression file can be grown on a
-    new machine without failing its first run.
+    The hashes are platform-independent as far as they have been checked
+    (the same bytes on py3.10/numpy 2.2 and py3.11/numpy 2.4, x86_64); a
+    deliberate change of the numerics re-baselines the file by hand.
     """
-    GOLDEN.parent.mkdir(exist_ok=True)
-    stored = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    full_key = f"{platform_profile()}:{key}"
-    if full_key in stored:
-        assert stored[full_key] == digest, f"golden hash changed for {full_key}"
-    else:
-        stored[full_key] = digest
-        GOLDEN.write_text(json.dumps(stored, sort_keys=True, indent=2) + "\n")
+    stored = json.loads(GOLDEN.read_text())
+    assert key in stored, f"no golden hash stored for '{key}'"
+    assert stored[key] == digest, f"golden hash changed for '{key}': {digest}"

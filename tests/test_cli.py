@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface and its artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,3 +330,50 @@ class TestSweep:
         a = {p.relative_to(out1).as_posix(): p.read_bytes() for p in sorted(out1.rglob("*.csv"))}
         b = {p.relative_to(out2).as_posix(): p.read_bytes() for p in sorted(out2.rglob("*.csv"))}
         assert a == b
+
+
+def _bump(center, radius, n):
+    kept = [
+        line
+        for line in FAST_SOLVE.replace("grid.N = 64", f"grid.N = {n}").splitlines()
+        if not line.startswith("initial.")
+    ]
+    return "\n".join(
+        kept
+        + ["initial.family = bump", f"initial.center = {center}", f"initial.radius = {radius}"]
+    )
+
+
+BAD_INPUTS = {
+    "amp-nan": ("solve", FAST_SOLVE.replace("initial.amp = 0.3", "initial.amp = nan")),
+    "amp-inf": ("solve", FAST_SOLVE.replace("initial.amp = 0.3", "initial.amp = inf")),
+    "negative-R": (
+        "nonuniform",
+        NONUNIFORM_CFG.replace("experiment.R = 0.4", "experiment.R = -1"),
+    ),
+    "bump-at-boundary": ("solve", _bump(14.8, 1, 1024)),
+    "bump-under-resolved": ("solve", _bump(0, 0.5, 64)),
+    "grid-not-power-of-two": ("solve", FAST_SOLVE.replace("grid.N = 64", "grid.N = 1000")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_config_error_without_output(tmp_path, case):
+    # a fresh interpreter, so an uncaught exception would show as a traceback
+    import bfamily
+
+    command, text = BAD_INPUTS[case]
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(bfamily.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bfamily.cli", command, "--config", str(cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+    assert not out.exists()

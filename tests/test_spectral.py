@@ -8,14 +8,12 @@ from bfamily.spectral import (
     Field,
     dealias_mask,
     derivative,
-    from_coeffs,
     helmholtz_inverse,
     homogeneous_hs_norm,
     hs_norm,
     make_grid,
     multiply,
     slobodeckij_seminorm,
-    to_coeffs,
 )
 
 
@@ -72,24 +70,6 @@ class TestMakeGrid:
             make_grid(-1.0, 64)
         with pytest.raises(GridError):
             make_grid(0.0, 64)
-
-
-class TestRoundTrip:
-    def test_field_coeffs_field(self):
-        g = make_grid(20, 256)
-        rng = np.random.RandomState(7)
-        f = Field(g, rng.randn(256))
-        back = from_coeffs(to_coeffs(f))
-        assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(
-            np.abs(f.values)
-        )
-
-    def test_coeffs_conjugate_symmetric(self):
-        g = make_grid(5, 64)
-        f = Field.from_function(g, gaussian(1.0, 1.0))
-        c = to_coeffs(f).modes
-        # modes at k and -k must be conjugate for a real field
-        assert np.allclose(c[1:], np.conj(c[1:][::-1]), atol=1e-10)
 
 
 class TestDerivative:
@@ -278,6 +258,40 @@ class TestHomogeneousNorm:
         f_lam = Field.from_function(g, lambda x: mollifier_derivative(3.0)(x / lam))
         ratio = homogeneous_hs_norm(f_lam, s) ** 2 / homogeneous_hs_norm(f, s) ** 2
         assert ratio == pytest.approx(lam ** (1 - 2 * s), rel=0.01)
+
+
+class TestFullSpectrumOracle:
+    """The real-FFT kernel against a full complex-FFT reference built here."""
+
+    def test_operators_match_full_fft(self):
+        n = 256
+        g = make_grid(20, n)
+        rng = np.random.RandomState(17)
+        a, b = rng.randn(n), rng.randn(n)
+        k = np.fft.fftfreq(n, d=1.0 / n)  # -N/2..N/2-1 in numpy order
+        xi = np.pi * k / g.half_length
+
+        def apply(symbol, v):
+            return np.fft.ifft(symbol * np.fft.fft(v)).real
+
+        def rel(got, want):
+            return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+        for order in (1, 2, 3):
+            symbol = (1j * xi) ** order
+            if order % 2 == 1:
+                symbol[n // 2] = 0.0  # unpaired Nyquist mode
+            assert rel(derivative(Field(g, a), order).values, apply(symbol, a)) <= 1e-12
+        want = apply(1.0 / (1.0 + xi**2), a)
+        assert rel(helmholtz_inverse(Field(g, a)).values, want) <= 1e-12
+        mask = (np.abs(k) <= n // 3).astype(float)
+        want = apply(mask, apply(mask, a) * apply(mask, b))
+        got = multiply(Field(g, a), Field(g, b), dealias=True).values
+        assert rel(got, want) <= 1e-12
+        c = np.fft.fft(a) * g.spacing / np.sqrt(2.0 * g.half_length)
+        for s in (-0.4, 0.0, 2.0):
+            want = np.sqrt(np.sum((1.0 + xi**2) ** s * np.abs(c) ** 2))
+            assert hs_norm(Field(g, a), s) == pytest.approx(want, rel=1e-12)
 
 
 class TestSlobodeckijSeminorm:
