@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, sweep_cell
 from .diagnostics import conservation_residual
 from .dynamics import COMPLETED, solve_eulerian, solve_geodesic
 from .errors import (
@@ -225,54 +225,36 @@ def _exit_code(run, *args) -> int:
 
 
 def _run_cell(payload) -> int:
-    command, values, out_dir, formulation, tol = payload
-    if command == "conserve" and tol is None:
+    cfg, out_dir, formulation, tol = payload
+    if cfg.command == "conserve" and tol is None:
         tol = CONSERVE_TOL
     options = argparse.Namespace(formulation=formulation, tol=tol, jobs=1)
-    return _exit_code(
-        _RUNNERS[command], RunConfig(command, values), Path(out_dir), options
-    )
+    return _exit_code(_RUNNERS[cfg.command], cfg, Path(out_dir), options)
 
 
 def run_sweep(cfg: RunConfig, out: Path, jobs: int, formulation: str, tol) -> int:
-    from .config import _schema_for
-
     wrapped = cfg["sweep.command"]
     if wrapped not in _RUNNERS:
         raise ConfigError(f"sweep.command must be one of {sorted(_RUNNERS)}")
     b_values = cfg["sweep.b"] or (cfg["params.b"],)
     n_values = cfg["sweep.N"] or (cfg["grid.N"],)
-    # resolve the wrapped command's schema against the actual values so
-    # non-default initial/probe families keep their keys in the cells
-    pseudo_pairs = {
-        k: (str(v), 0) for k, v in cfg.values.items() if v is not None
-    }
-    wrapped_schema = _schema_for(wrapped, pseudo_pairs)
     out.mkdir(parents=True, exist_ok=True)
-
-    cells = []
-    for b in b_values:
-        for n in n_values:
-            values = {
-                k: cfg.values[k] for k in wrapped_schema if k in cfg.values
-            }
-            for key, (kind, default) in wrapped_schema.items():
-                values.setdefault(key, default)
-            values["params.b"] = float(b)
-            values["grid.N"] = int(n)
-            name = f"b{b:g}_N{n}"
-            cells.append((name, b, n, values))
+    cells = [
+        (f"b{b:g}_N{n}", b, n, sweep_cell(cfg, b, n))
+        for b in b_values
+        for n in n_values
+    ]
 
     index = []
     pending = []
-    for name, b, n, values in cells:
+    for name, b, n, cell_cfg in cells:
         cell_dir = out / name
         if (cell_dir / "manifest.json").exists():
             index.append(
                 {"cell": name, "b": float(b), "N": int(n), "skipped": True, "exit_code": 0}
             )
             continue
-        pending.append((name, b, n, (wrapped, values, str(cell_dir), formulation, tol)))
+        pending.append((name, b, n, (cell_cfg, str(cell_dir), formulation, tol)))
 
     results = {}
     if jobs > 1 and len(pending) > 1:

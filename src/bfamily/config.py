@@ -237,6 +237,18 @@ class RunConfig:
             )
 
 
+def sweep_cell(cfg: RunConfig, b: float, n: int) -> RunConfig:
+    """The config of the command a sweep wraps, at params.b = b and grid.N = n.
+
+    A sweep's schema is the wrapped command's plus the sweep.* keys, so the
+    cell keeps every other value of cfg, defaults included.
+    """
+    values = {k: v for k, v in cfg.values.items() if k not in _SWEEP_KEYS}
+    values["params.b"] = float(b)
+    values["grid.N"] = int(n)
+    return RunConfig(cfg["sweep.command"], values)
+
+
 @contextmanager
 def _validating():
     """Report a ValueError raised while building run objects as a ConfigError."""

@@ -7,11 +7,12 @@ all quadratic products 2/3-dealiased.
 Lagrangian: RK4 on the first-order geodesic system
     (phi, phi_t)' = (phi_t, Gamma_phi(phi_t, phi_t)),
 where Gamma_phi is evaluated without inverting phi: the conjugated
-derivatives give the bilinear term in flow coordinates, and the conjugated
-Helmholtz operator A_phi g = g - (g_xx/phi_x^2 - g_x phi_xx/phi_x^3) is
-solved by preconditioned fixed-point iteration with the flat Helmholtz
-inverse as preconditioner, falling back to the literal
-compose/invert pipeline if the iteration stalls.
+derivatives give the bilinear term B in flow coordinates, and the
+conjugated Helmholtz system A_phi g = g - (1/phi_x) D (1/phi_x) D g = B is
+solved in its self-adjoint form S g = phi_x g - D(g_x / phi_x) = phi_x B by
+conjugate gradients preconditioned with the flat Helmholtz inverse.  The
+solve stops at relative residual CHRISTOFFEL_RTOL, checked on the true
+residual, and raises SolverError if N iterations do not reach it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ COMPLETED = "completed"
 BLOWUP_NORM = "blowup_norm"
 BLOWUP_PHIX = "blowup_phix"
 
+CHRISTOFFEL_RTOL = 1e-11  # relative residual of the self-adjoint Christoffel solve
+
 
 @dataclass(frozen=True)
 class BParams:
@@ -60,8 +63,6 @@ class SolverConfig:
     snapshot_stride: int = 1
     blowup_norm_cap: float = 1e6
     min_phix: float = 1e-6
-    christoffel_tol: float = 1e-10
-    christoffel_max_iter: int = 200
 
     def __post_init__(self):
         if not (self.dt > 0 and self.T > 0 and self.dt <= self.T):
@@ -142,24 +143,19 @@ def _bilinear(grid: Grid, b: float, v_spec, d1: np.ndarray, d2: np.ndarray):
     return -b * grid.product(vt, d1t) + (b - 3.0) * grid.product(d1t, d2t)
 
 
-def _christoffel_id_diag(grid: Grid, b: float, v: np.ndarray) -> np.ndarray:
-    spec = grid.rfft(v)
-    vx, vxx = grid.irfft(grid.d1 * spec), grid.irfft(grid.d2 * spec)
-    return grid.irfft(grid.helmholtz * _bilinear(grid, b, spec, vx, vxx))
-
-
 def christoffel_id(v: Field, w: Field, params: BParams) -> Field:
     """Symmetric Christoffel bilinear form at the identity.
 
     B(v, w) = -(b/2)(v w_x + w v_x) + ((b-3)/2)(v_x w_xx + w_x v_xx),
     so the diagonal reproduces -b v v_x + (b-3) v_x v_xx; the value is
-    the Helmholtz inverse of B.  The diagonal takes the path of
-    christoffel_at, so the two agree bit for bit at phi = id.
+    the Helmholtz inverse of B.  The diagonal is christoffel_at at
+    phi = id, so the two agree bit for bit.
     """
     v._check_same_grid(w)
     grid, b = v.grid, params.b
     if np.array_equal(v.values, w.values):
-        return Field(grid, _christoffel_id_diag(grid, b, v.values))
+        zero = np.zeros(grid.n_points)
+        return Field(grid, _christoffel_at_arr(grid, b, zero, v.values))
     vs, ws = grid.rfft(v.values), grid.rfft(w.values)
     vt, vx, vxx = (grid.truncated(m * vs) for m in (1.0, grid.d1, grid.d2))
     wt, wx, wxx = (grid.truncated(m * ws) for m in (1.0, grid.d1, grid.d2))
@@ -169,13 +165,71 @@ def christoffel_id(v: Field, w: Field, params: BParams) -> Field:
     return Field(grid, grid.irfft(grid.helmholtz * bil))
 
 
+def _solve_conjugated_helmholtz(grid: Grid, phi_x: np.ndarray, bil, initial):
+    """Samples of the solution of A_phi g = B, B given by its spectrum bil.
+
+    Preconditioned CG on S g = phi_x g - D(g_x / phi_x) = phi_x B, which is
+    A_phi times phi_x.  D zeroes the Nyquist mode, so it is skew-adjoint and
+    S is symmetric positive definite in the Parseval inner product; the flat
+    Helmholtz inverse preconditions it.  The start is initial (samples, e.g.
+    the previous stage's value) or else the flat Helmholtz inverse of B,
+    exact at phi = id.  Only the true residual (not the recurrence's) is
+    accepted, and CG's exact-arithmetic bound of N iterations caps the solve.
+    """
+    # each application of S takes g and g_x in one batched inverse
+    # transform and phi_x g, g_x / phi_x in one batched forward transform
+    to_g_gx = np.stack([np.ones_like(grid.d1), grid.d1])
+    by_phi_x = np.stack([phi_x, 1.0 / phi_x])
+    rhs = grid.rfft(phi_x * grid.irfft(bil))
+
+    def apply_s(spec):
+        """Samples of g and the spectrum of S g, g given by its spectrum."""
+        samples = grid.irfft(to_g_gx * spec)
+        terms = grid.rfft(by_phi_x * samples)
+        return samples[0], terms[0] - grid.d1 * terms[1]
+
+    def inner(p, q):
+        return float(np.real(np.vdot(p, grid.weights * q)))
+
+    def true_residual(g):
+        samples, sg = apply_s(g)
+        return samples, rhs - sg
+
+    # squared norms: inner(r, r) is grid.norm(r)**2
+    target = CHRISTOFFEL_RTOL**2 * inner(rhs, rhs)
+    g = grid.helmholtz * bil if initial is None else grid.rfft(initial)
+    samples, r = true_residual(g)
+    p = rz = None
+    for _ in range(grid.n_points):
+        if inner(r, r) <= target:  # only a true residual passes
+            return samples
+        z = grid.helmholtz * r
+        rz, rz_prev = inner(r, z), rz
+        p = z if p is None else z + (rz / rz_prev) * p
+        sp = apply_s(p)[1]
+        curvature = inner(p, sp)
+        if not (rz > 0.0 and curvature > 0.0):
+            break  # r or p underflowed (or went NaN): CG cannot go on
+        alpha = rz / curvature
+        g = g + alpha * p
+        r = r - alpha * sp
+        if inner(r, r) <= target:
+            samples, r = true_residual(g)
+    samples, r = true_residual(g)
+    if inner(r, r) <= target:
+        return samples
+    raise SolverError(
+        f"Christoffel solve did not converge within {grid.n_points} iterations "
+        f"(min phi_x = {np.min(phi_x):.3e}, relative residual = "
+        f"{grid.norm(r) / grid.norm(rhs):.3e})"
+    )
+
+
 def _christoffel_at_arr(
     grid: Grid,
     b: float,
     disp: np.ndarray,
     v: np.ndarray,
-    tol: float,
-    max_iter: int,
     initial: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gamma_phi(v, v) in flow coordinates, phi = id + disp."""
@@ -188,61 +242,23 @@ def _christoffel_at_arr(
         )
     spec = grid.rfft(v)
     vx, vxx = grid.irfft(grid.d1 * spec), grid.irfft(grid.d2 * spec)
-    phi_x2, phi_x3 = phi_x**2, phi_x**3
     d1 = vx / phi_x
-    d2 = vxx / phi_x2 - vx * fxx / phi_x3
+    d2 = vxx / phi_x**2 - vx * fxx / phi_x**3
     bil = _bilinear(grid, b, spec, d1, d2)
-
-    bnorm = grid.norm(bil)
-    if bnorm == 0.0:
+    if grid.norm(bil) == 0.0:
         return np.zeros_like(v)
-
-    # the iterate g is kept as its spectrum; the residual of the conjugated
-    # Helmholtz operator, bil - (g - g_xx/phi_x^2 + g_x phi_xx/phi_x^3), is
-    # formed in spectral space as well.  Warm starts (the previous stage's
-    # solution) cut the iteration count roughly in half in the time loops
-    g = grid.helmholtz * bil if initial is None else grid.rfft(initial)
-    prev = np.inf
-    stalls = 0
-    for _ in range(max_iter):
-        gx, gxx = grid.irfft(grid.d1 * g), grid.irfft(grid.d2 * g)
-        resid = bil - g + grid.rfft(gxx / phi_x2 - gx * fxx / phi_x3)
-        rnorm = grid.norm(resid)
-        if rnorm <= tol * bnorm:
-            return grid.irfft(g)
-        if rnorm >= 0.98 * prev:
-            stalls += 1
-            if stalls >= 5:
-                break
-        else:
-            stalls = 0
-        prev = rnorm
-        g = g + grid.helmholtz * resid
-    # stalled or out of iterations: literal pipeline via explicit inversion
-    phi = Diffeomorphism(grid, Field(grid, disp))
-    pulled = compose_field(Field(grid, v), invert(phi)).values
-    gamma_flat = Field(grid, _christoffel_id_diag(grid, b, pulled))
-    return compose_field(gamma_flat, phi).values
+    return _solve_conjugated_helmholtz(grid, phi_x, bil, initial)
 
 
-def christoffel_at(
-    phi: Diffeomorphism,
-    v: Field,
-    params: BParams,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> Field:
+def christoffel_at(phi: Diffeomorphism, v: Field, params: BParams) -> Field:
     """Gamma_phi(v, v) without explicit inversion of phi.
 
-    Convergence is declared when the relative residual of the conjugated
-    Helmholtz solve drops below tol; at phi = id the first iterate is
-    already exact so the result coincides with christoffel_id.
+    At phi = id the cold start is already exact, so the result coincides
+    with christoffel_id.
     """
     if phi.grid != v.grid:
         raise GridError("phi and v live on different grids")
-    out = _christoffel_at_arr(
-        phi.grid, params.b, phi.displacement.values, v.values, tol, max_iter
-    )
+    out = _christoffel_at_arr(phi.grid, params.b, phi.displacement.values, v.values)
     return Field(phi.grid, out)
 
 
@@ -296,37 +312,25 @@ def solve_geodesic(u0: Field, params: BParams, config: SolverConfig) -> Trajecto
     termination = COMPLETED
 
     warm = None
-
-    def gamma(d, v, guess):
-        return _christoffel_at_arr(
-            grid,
-            b,
-            d,
-            v,
-            config.christoffel_tol,
-            config.christoffel_max_iter,
-            initial=guess,
-        )
-
     steps = _step_times(config)
     for k, dt in enumerate(steps):
         last = k == len(steps) - 1
         t = config.T if last else (k + 1) * config.dt
+        v1 = phit
         try:
-            a1 = gamma(disp, phit, warm)
-            a2 = gamma(disp + 0.5 * dt * phit, phit + 0.5 * dt * a1, a1)
-            a3 = gamma(
-                disp + 0.5 * dt * (phit + 0.5 * dt * a1), phit + 0.5 * dt * a2, a2
-            )
-            a4 = gamma(disp + dt * (phit + 0.5 * dt * a2), phit + dt * a3, a3)
+            a1 = _christoffel_at_arr(grid, b, disp, v1, warm)
+            v2 = phit + 0.5 * dt * a1
+            a2 = _christoffel_at_arr(grid, b, disp + 0.5 * dt * v1, v2, a1)
+            v3 = phit + 0.5 * dt * a2
+            a3 = _christoffel_at_arr(grid, b, disp + 0.5 * dt * v2, v3, a2)
+            v4 = phit + dt * a3
+            a4 = _christoffel_at_arr(grid, b, disp + dt * v3, v4, a3)
             warm = a4
         except PositivityError:
             termination = BLOWUP_PHIX
             break
-        v1 = phit
-        v2 = phit + 0.5 * dt * a1
-        v3 = phit + 0.5 * dt * a2
-        v4 = phit + dt * a3
+        except SolverError as err:
+            raise SolverError(f"{err} at t = {t:.6g}", time=t) from err
         disp = disp + (dt / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
         phit = phit + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         if not (np.all(np.isfinite(disp)) and np.all(np.isfinite(phit))):

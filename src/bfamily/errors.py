@@ -29,7 +29,7 @@ class InversionError(BFamilyError):
 
 
 class SolverError(BFamilyError):
-    """Time integration aborted (NaN state); carries the offending time."""
+    """Time integration aborted (NaN state, unconverged solve); carries the time."""
 
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)

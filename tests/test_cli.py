@@ -110,6 +110,20 @@ class TestSolve:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["termination"] == "blowup_norm"
 
+    def test_unconverged_lagrangian_solve_exit_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("bfamily.dynamics.CHRISTOFFEL_RTOL", 0.0)
+        cfg = write_config(tmp_path, FAST_SOLVE)
+        code = run_cli(
+            "solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--formulation", "lagrangian",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("run failed:")
+        assert "did not converge" in lines[0] and "t = 0.01" in lines[0]
+
     def test_lagrangian_snapshots(self, tmp_path):
         cfg = write_config(tmp_path, FAST_SOLVE)
         out = tmp_path / "out"
@@ -302,6 +316,22 @@ class TestSweep:
         assert run_cli("solve", "--config", str(direct_cfg), "--out", str(out_direct)) == 0
         cell_dir = out_sweep / "b2_N64"
         assert tree_digest(cell_dir) == tree_digest(out_direct)
+
+    def test_mode_family_cell_manifest_matches_direct(self, tmp_path):
+        # the cell must carry the mode family's keys, defaults included
+        mode = "\n".join(
+            line
+            for line in FAST_SOLVE.splitlines()
+            if not line.startswith(("initial.width", "initial.center"))
+        ).replace("initial.family = gaussian", "initial.family = mode")
+        sweep_cfg = write_config(tmp_path, mode + "\nsweep.command = solve\n", "s.cfg")
+        direct_cfg = write_config(tmp_path, mode, "direct.cfg")
+        out_sweep, out_direct = tmp_path / "sweep_out", tmp_path / "direct_out"
+        assert run_cli("sweep", "--config", str(sweep_cfg), "--out", str(out_sweep)) == 0
+        assert run_cli("solve", "--config", str(direct_cfg), "--out", str(out_direct)) == 0
+        direct = (out_direct / "manifest.json").read_bytes()
+        assert b"initial.k = 1" in direct
+        assert (out_sweep / "b2_N64" / "manifest.json").read_bytes() == direct
 
     def test_resume_skips_completed_cells(self, tmp_path):
         cfg = write_config(tmp_path, SWEEP_CFG)

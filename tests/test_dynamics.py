@@ -208,19 +208,31 @@ class TestChristoffelAt:
         assert np.max(np.abs(out.values)) == 0.0
 
     @pytest.mark.parametrize("b", [0.0, 2.0, 3.0])
-    def test_literal_pipeline_oracle(self, b):
+    def test_literal_pipeline_oracle(self, b, monkeypatch):
         from bfamily.diffeo import compose_field, invert
 
         g = make_grid(20, 2048)
         rng = np.random.RandomState(3)
-        phi = random_small_diffeo(g, rng, scale=0.08)
         v = gaussian_field(g)
         params = BParams(b=b, s=S)
-        fast = christoffel_at(phi, v, params)
-        pulled = compose_field(v, invert(phi))
-        literal = compose_field(christoffel_id(pulled, pulled, params), phi)
-        rel = hs_norm(fast - literal, S) / hs_norm(literal, S)
-        assert rel <= 1e-6
+        # a small random map, then steep maps with min phi_x 0.75, 0.5, 0.27
+        xi = 3 * np.pi / g.half_length
+        maps = [random_small_diffeo(g, rng, scale=0.08)] + [
+            from_displacement(Field(g, (d / xi) * np.sin(xi * g.x)))
+            for d in (0.25, 0.5, 0.73)
+        ]
+
+        def no_inversion(phi):
+            raise AssertionError("christoffel_at must not invert the flow map")
+
+        for phi in maps:
+            with monkeypatch.context() as m:
+                m.setattr("bfamily.dynamics.invert", no_inversion)
+                fast = christoffel_at(phi, v, params)
+            pulled = compose_field(v, invert(phi))
+            literal = compose_field(christoffel_id(pulled, pulled, params), phi)
+            rel = hs_norm(fast - literal, S) / hs_norm(literal, S)
+            assert rel <= 1e-6
 
 
 class TestSolveGeodesic:
@@ -259,6 +271,27 @@ class TestSolveGeodesic:
         e_ab = hs_norm(a.phit - b_.phit, S)
         e_bc = hs_norm(b_.phit - c.phit, S)
         assert e_ab / e_bc == pytest.approx(16.0, rel=0.45)
+
+    def test_unconverged_christoffel_solve_raises_with_time(self, monkeypatch):
+        monkeypatch.setattr("bfamily.dynamics.CHRISTOFFEL_RTOL", 0.0)
+        g = make_grid(20, 64)
+        with pytest.raises(SolverError, match="did not converge") as err:
+            solve_geodesic(
+                gaussian_field(g), BParams(b=2.0, s=S), SolverConfig(dt=0.01, T=0.1)
+            )
+        assert err.value.time == pytest.approx(0.01)
+
+    def test_wave_breaking_ends_at_phix_guard(self):
+        # the steepening amp-4 Gaussian drives min phi_x towards 0; the solve
+        # must keep converging until the flow map degenerates
+        g = make_grid(20, 512)
+        traj = solve_geodesic(
+            gaussian_field(g, amp=4.0),
+            BParams(b=2.0, s=S),
+            SolverConfig(dt=1e-3, T=3.0, snapshot_stride=10),
+        )
+        assert traj.termination == BLOWUP_PHIX
+        assert np.min(traj.final_state.phi.phi_x) < 1e-2
 
     def test_phix_guard(self):
         g = make_grid(20, 128)
