@@ -12,7 +12,6 @@ from .diffeo import (
     Diffeomorphism,
     compose_diffeo,
     compose_field,
-    conjugated_derivative,
     evaluate_field,
     from_displacement,
     identity,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import RunConfig, load_config, sweep_cell
@@ -57,16 +57,7 @@ def _base_manifest(cfg: RunConfig, **extra) -> dict:
 
 def _effective(params, solver) -> dict:
     """Structured record of what actually ran (dt may be auto-derived)."""
-    return {
-        "params": {"b": params.b, "s": params.s},
-        "solver": {
-            "dt": solver.dt,
-            "T": solver.T,
-            "snapshot_stride": solver.snapshot_stride,
-            "blowup_norm_cap": solver.blowup_norm_cap,
-            "min_phix": solver.min_phix,
-        },
-    }
+    return {"params": asdict(params), "solver": asdict(solver)}
 
 
 def _write_eulerian_snapshots(out: Path, traj) -> list:

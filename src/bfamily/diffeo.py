@@ -20,6 +20,9 @@ from .errors import GridError, InversionError, PositivityError
 from .spectral import Field, Grid, derivative
 
 _RENORM_EVERY = 64  # fresh complex exponential every this many running powers
+_MARGIN = 1e-6  # smallest min phi_x that invert accepts
+_TOL = 1e-12  # Newton step size at which an inverse point has converged
+_MAX_NEWTON = 50
 
 
 def evaluate_field(f: Field, points: np.ndarray) -> np.ndarray:
@@ -111,58 +114,47 @@ def compose_diffeo(phi: Diffeomorphism, psi: Diffeomorphism) -> Diffeomorphism:
     return Diffeomorphism(phi.grid, Field(phi.grid, disp))
 
 
-def invert(
-    phi: Diffeomorphism,
-    margin: float = 1e-6,
-    tol: float = 1e-12,
-    max_newton: int = 50,
-    n_bisect: int = 12,
-) -> Diffeomorphism:
-    """Gridwise inverse by bracketing bisection plus safeguarded Newton.
+def invert(phi: Diffeomorphism) -> Diffeomorphism:
+    """Gridwise inverse by an exact one-cell bracket plus safeguarded Newton.
 
-    Solves phi(y) = x_j for every grid point, using the spectral derivative
-    inside Newton and keeping iterates inside the shrinking bracket.
+    The samples phi(x_j) = x_j + f_j are exact values of the interpolant.  If
+    they increase over one period (the wrap phi(x_0) + 2L included), each
+    target x_k, moved by whole periods into [phi(x_0), phi(x_0) + 2L), lies in
+    a cell phi(x_j) <= x_k < phi(x_{j+1}) that holds a root of phi(y) = x_k.
+    Newton with the spectral derivative starts from the secant point in that
+    cell and keeps its iterates inside the shrinking bracket.
     """
-    if np.min(phi.phi_x) < margin:
+    if np.min(phi.phi_x) < _MARGIN:
         raise PositivityError(
-            f"inversion needs min phi_x >= {margin:.1e}, got {np.min(phi.phi_x):.3e}"
+            f"inversion needs min phi_x >= {_MARGIN:.1e}, got {np.min(phi.phi_x):.3e}"
         )
     if not np.any(phi.displacement.values):
         return phi  # the identity is its own inverse
     grid = phi.grid
+    n = grid.n_points
     x = grid.x
+    period = 2.0 * grid.half_length
     disp = phi.displacement
     disp_x = derivative(disp, 1)
-    f_min = float(np.min(disp.values))
-    f_max = float(np.max(disp.values))
 
-    # the interpolant can overshoot the sampled extrema between grid points;
-    # pad by the classical h^2/8 * max|f''| bound and verify the bracket
-    pad = 0.125 * grid.spacing**2 * float(
-        np.max(np.abs(derivative(disp, 2).values))
-    ) + 1e-13 * (1.0 + abs(f_max) + abs(f_min))
-    lo = x - f_max - pad
-    hi = x - f_min + pad
-    for _ in range(8):
-        bad_lo = lo + evaluate_field(disp, lo) > x
-        bad_hi = hi + evaluate_field(disp, hi) < x
-        if not (np.any(bad_lo) or np.any(bad_hi)):
-            break
-        pad = 2.0 * pad + grid.spacing
-        lo = np.where(bad_lo, x - f_max - pad, lo)
-        hi = np.where(bad_hi, x - f_min + pad, hi)
-    else:
-        raise InversionError("could not bracket the inverse", index=None)
+    nodes = np.append(x, x[0] + period)
+    pos = phi.positions()
+    samples = np.append(pos, pos[0] + period)
+    steps = np.diff(samples)
+    if np.min(steps) <= 0.0:
+        worst = int(np.argmin(steps))
+        raise InversionError(
+            f"phi is not increasing on the grid samples at index {worst}", index=worst
+        )
+    wraps = period * np.floor((x - samples[0]) / period)
+    # x - wraps can round just outside [samples[0], samples[n]]; clip to a cell
+    cell = np.clip(np.searchsorted(samples, x - wraps, side="right") - 1, 0, n - 1)
+    lo = nodes[cell] + wraps
+    hi = nodes[cell + 1] + wraps
+    y = lo + (x - wraps - samples[cell]) / steps[cell] * (hi - lo)
 
-    for _ in range(n_bisect):
-        mid = 0.5 * (lo + hi)
-        below = mid + evaluate_field(disp, mid) < x
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-
-    y = 0.5 * (lo + hi)
-    converged = np.zeros(grid.n_points, dtype=bool)
-    for _ in range(max_newton):
+    converged = np.zeros(n, dtype=bool)
+    for _ in range(_MAX_NEWTON):
         resid = y + evaluate_field(disp, y) - x
         slope = 1.0 + evaluate_field(disp_x, y)
         step = resid / slope
@@ -170,32 +162,13 @@ def invert(
         lo = np.where(below, y, lo)
         hi = np.where(below, hi, y)
         y_new = np.clip(y - step, lo, hi)
-        converged = np.abs(y_new - y) < tol
+        converged = np.abs(y_new - y) < _TOL
         y = y_new
         if np.all(converged):
             break
     if not np.all(converged):
         worst = int(np.argmax(np.abs(y + evaluate_field(disp, y) - x)))
         raise InversionError(
-            f"Newton failed to reach {tol:.1e} at grid index {worst}", index=worst
+            f"Newton failed to reach {_TOL:.1e} at grid index {worst}", index=worst
         )
     return Diffeomorphism(grid, Field(grid, y - x))
-
-
-def conjugated_derivative(phi: Diffeomorphism, f: Field, k: int) -> Field:
-    """Conjugated derivative R_phi d^k R_{phi^{-1}} f without inverting phi.
-
-    k=1 gives f_x/phi_x and k=2 gives f_xx/phi_x^2 - f_x phi_xx/phi_x^3 by
-    the chain rule (validated against the literal invert/compose pipeline).
-    """
-    if k not in (1, 2):
-        raise ValueError(f"conjugated derivative order must be 1 or 2, got {k}")
-    if f.grid != phi.grid:
-        raise GridError("field and diffeomorphism live on different grids")
-    phi_x = phi.phi_x
-    f_x = derivative(f, 1).values
-    if k == 1:
-        return Field(f.grid, f_x / phi_x)
-    f_xx = derivative(f, 2).values
-    phi_xx = derivative(phi.displacement, 2).values
-    return Field(f.grid, f_xx / phi_x**2 - f_x * phi_xx / phi_x**3)

@@ -18,9 +18,9 @@ class PositivityError(BFamilyError):
 
 
 class InversionError(BFamilyError):
-    """Monotone inversion failed to converge.
+    """Monotone inversion failed: samples not increasing or Newton unconverged.
 
-    Carries the grid index where the root finder gave up.
+    Carries the grid index where the inversion gave up.
     """
 
     def __init__(self, message: str, index: int | None = None):

@@ -131,7 +131,3 @@ def write_json(path, payload: dict):
     Path(path).write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n"
     )
-
-
-def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -1,4 +1,4 @@
-"""Tests for composition, inversion, and conjugated derivatives."""
+"""Tests for composition and inversion of diffeomorphisms."""
 
 import numpy as np
 import pytest
@@ -7,19 +7,14 @@ from bfamily.diffeo import (
     Diffeomorphism,
     compose_diffeo,
     compose_field,
-    conjugated_derivative,
     evaluate_field,
     from_displacement,
     identity,
     invert,
     shift,
 )
-from bfamily.errors import PositivityError
-from bfamily.spectral import Field, derivative, hs_norm, make_grid
-
-
-def gaussian_field(grid, amp=1.0, width=2.0, center=0.0):
-    return Field(grid, amp * np.exp(-(((grid.x - center) / width) ** 2)))
+from bfamily.errors import InversionError, PositivityError
+from bfamily.spectral import Field, hs_norm, make_grid
 
 
 def random_smooth_field(grid, rng, n_modes=6, scale=1.0):
@@ -123,8 +118,16 @@ class TestInvert:
 
     def test_shift(self):
         g = make_grid(20, 64)
-        inv = invert(shift(g, 0.37))
-        assert np.allclose(inv.displacement.values, -0.37, atol=1e-11)
+        # +-100.37 is 2.5 periods: the roots lie in other periods
+        cases = [(g, c) for c in (0.37, -0.37, 100.37, -100.37)]
+        # whole-cell shifts put every target on a sample; for these, some
+        # targets moved by whole periods round just below phi(x_0) or onto
+        # the wrap value phi(x_0) + 2L
+        g_pi = make_grid(np.pi, 64)
+        cases += [(g_pi, m * g_pi.spacing) for m in (1, -4, -7, 68, 83, 94)]
+        for grid, c in cases:
+            inv = invert(shift(grid, c))
+            assert np.allclose(inv.displacement.values, -c, atol=1e-11)
 
     def test_defining_equation_residual(self):
         g = make_grid(20, 256)
@@ -134,6 +137,22 @@ class TestInvert:
             inv = invert(phi)
             resid = phi(inv.positions()) - g.x
             assert np.max(np.abs(resid)) <= 1e-10
+        # steep maps: min phi_x is 1 - d, i.e. 0.5 and 0.05
+        g = make_grid(20, 2048)
+        xi = 3 * np.pi / g.half_length
+        for d in (0.5, 0.95):
+            phi = from_displacement(Field(g, 0.3 + d / xi * np.sin(xi * g.x)))
+            inv = invert(phi)
+            resid = phi(inv.positions()) - g.x
+            assert np.max(np.abs(resid)) <= 1e-10
+
+    def test_non_increasing_samples_rejected(self):
+        # the Nyquist sawtooth has spectral phi_x = 1, yet its samples decrease
+        g = make_grid(20, 64)
+        phi = from_displacement(Field(g, g.spacing * (-1.0) ** np.arange(64)))
+        assert np.min(phi.phi_x) > 0.5
+        with pytest.raises(InversionError, match="not increasing"):
+            invert(phi)
 
     def test_margin_violation(self):
         g = make_grid(np.pi, 128)
@@ -141,42 +160,6 @@ class TestInvert:
         phi = from_displacement(Field(g, -(1.0 - 1e-9) * np.sin(g.x)))
         with pytest.raises(PositivityError):
             invert(phi)
-
-
-class TestConjugatedDerivative:
-    def test_identity_reduces_to_plain_derivative(self):
-        g = make_grid(20, 128)
-        f = gaussian_field(g)
-        for k in (1, 2):
-            got = conjugated_derivative(identity(g), f, k)
-            want = derivative(f, k)
-            assert np.max(np.abs(got.values - want.values)) < 1e-10
-
-    def test_constant_field_vanishes(self):
-        g = make_grid(20, 128)
-        rng = np.random.RandomState(6)
-        phi = random_small_diffeo(g, rng)
-        f = Field(g, np.full(128, 4.2))
-        for k in (1, 2):
-            assert np.max(np.abs(conjugated_derivative(phi, f, k).values)) < 1e-10
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_literal_pipeline_oracle(self, k):
-        # R_phi d^k R_{phi^{-1}} f == compose(derivative(compose(f, inv)), phi)
-        s = 2.0
-        g = make_grid(20, 2048)
-        rng = np.random.RandomState(7)
-        phi = random_small_diffeo(g, rng)
-        f = gaussian_field(g)
-        got = conjugated_derivative(phi, f, k)
-        literal = compose_field(derivative(compose_field(f, invert(phi)), k), phi)
-        rel = hs_norm(got - literal, s - k) / hs_norm(literal, s - k)
-        assert rel <= 1e-6
-
-    def test_rejects_bad_order(self):
-        g = make_grid(20, 64)
-        with pytest.raises(ValueError):
-            conjugated_derivative(identity(g), Field.zeros(g), 3)
 
 
 class TestEmpiricalLipschitzConstants:
