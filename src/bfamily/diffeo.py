@@ -122,7 +122,9 @@ def invert(phi: Diffeomorphism) -> Diffeomorphism:
     target x_k, moved by whole periods into [phi(x_0), phi(x_0) + 2L), lies in
     a cell phi(x_j) <= x_k < phi(x_{j+1}) that holds a root of phi(y) = x_k.
     Newton with the spectral derivative starts from the secant point in that
-    cell and keeps its iterates inside the shrinking bracket.
+    cell and keeps its iterates inside the shrinking bracket.  An inverse
+    whose spectral derivative is not positive is not resolved on the grid
+    and raises InversionError.
     """
     if np.min(phi.phi_x) < _MARGIN:
         raise PositivityError(
@@ -171,4 +173,13 @@ def invert(phi: Diffeomorphism) -> Diffeomorphism:
         raise InversionError(
             f"Newton failed to reach {_TOL:.1e} at grid index {worst}", index=worst
         )
-    return Diffeomorphism(grid, Field(grid, y - x))
+    inverse = Field(grid, y - x)
+    try:
+        return Diffeomorphism(grid, inverse)
+    except PositivityError:  # Newton converged, but too steep for the grid
+        inv_x = 1.0 + derivative(inverse, 1).values
+        raise InversionError(
+            "the inverse is not resolved on the grid: min of its spectral "
+            f"derivative is {np.min(inv_x):.3e}",
+            index=int(np.argmin(inv_x)),
+        ) from None

@@ -6,13 +6,18 @@ all quadratic products 2/3-dealiased.
 
 Lagrangian: RK4 on the first-order geodesic system
     (phi, phi_t)' = (phi_t, Gamma_phi(phi_t, phi_t)),
-where Gamma_phi is evaluated without inverting phi: the conjugated
-derivatives give the bilinear term B in flow coordinates, and the
-conjugated Helmholtz system A_phi g = g - (1/phi_x) D (1/phi_x) D g = B is
-solved in its self-adjoint form S g = phi_x g - D(g_x / phi_x) = phi_x B by
-conjugate gradients preconditioned with the flat Helmholtz inverse.  The
-solve stops at relative residual CHRISTOFFEL_RTOL, checked on the true
-residual, and raises SolverError if N iterations do not reach it.
+one array with rows (displacement, phi_t).  Gamma_phi is evaluated without
+inverting phi: the conjugated derivatives give the bilinear term B in flow
+coordinates, and the conjugated Helmholtz system
+A_phi g = g - (1/phi_x) D (1/phi_x) D g = B is solved in its self-adjoint
+form S g = phi_x g - D(g_x / phi_x) = phi_x B by conjugate gradients
+preconditioned with the flat Helmholtz inverse.  The solve stops at
+relative residual CHRISTOFFEL_RTOL, checked on the true residual, and
+raises SolverError if N iterations do not reach it.  The symmetric form at
+the identity is the polarization of Gamma_id(v, v).
+
+Every RK4 step, flow_from_velocity's too, is one _rk4_step; _march owns
+the solvers' step schedule, finiteness check and snapshot cadence.
 """
 
 from __future__ import annotations
@@ -146,23 +151,18 @@ def _bilinear(grid: Grid, b: float, v_spec, d1: np.ndarray, d2: np.ndarray):
 def christoffel_id(v: Field, w: Field, params: BParams) -> Field:
     """Symmetric Christoffel bilinear form at the identity.
 
-    B(v, w) = -(b/2)(v w_x + w v_x) + ((b-3)/2)(v_x w_xx + w_x v_xx),
-    so the diagonal reproduces -b v v_x + (b-3) v_x v_xx; the value is
-    the Helmholtz inverse of B.  The diagonal is christoffel_at at
-    phi = id, so the two agree bit for bit.
+    The polarization (Gamma(v + w) - Gamma(v - w)) / 4 of christoffel_at at
+    phi = id, i.e. the Helmholtz inverse of
+    B(v, w) = -(b/2)(v w_x + w v_x) + ((b-3)/2)(v_x w_xx + w_x v_xx).
+    Scaling by 2 and by 1/4 is exact, so the form is symmetric bit for bit
+    and its diagonal is christoffel_at(identity, v) bit for bit.
     """
     v._check_same_grid(w)
     grid, b = v.grid, params.b
-    if np.array_equal(v.values, w.values):
-        zero = np.zeros(grid.n_points)
-        return Field(grid, _christoffel_at_arr(grid, b, zero, v.values))
-    vs, ws = grid.rfft(v.values), grid.rfft(w.values)
-    vt, vx, vxx = (grid.truncated(m * vs) for m in (1.0, grid.d1, grid.d2))
-    wt, wx, wxx = (grid.truncated(m * ws) for m in (1.0, grid.d1, grid.d2))
-    bil = -(b / 2.0) * (grid.product(vt, wx) + grid.product(wt, vx)) + (
-        (b - 3.0) / 2.0
-    ) * (grid.product(vx, wxx) + grid.product(wx, vxx))
-    return Field(grid, grid.irfft(grid.helmholtz * bil))
+    zero = np.zeros(grid.n_points)
+    plus = _christoffel_at_arr(grid, b, zero, v.values + w.values)
+    minus = _christoffel_at_arr(grid, b, zero, v.values - w.values)
+    return Field(grid, (plus - minus) / 4.0)
 
 
 def _solve_conjugated_helmholtz(grid: Grid, phi_x: np.ndarray, bil, initial):
@@ -262,37 +262,50 @@ def christoffel_at(phi: Diffeomorphism, v: Field, params: BParams) -> Field:
     return Field(phi.grid, out)
 
 
-def _step_times(config: SolverConfig):
-    """Step sizes covering [0, T]: fixed dt plus at most one trailing partial."""
+def _rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step; rhs(y, c) is called at the stage time t + c dt."""
+    k1 = rhs(y, 0.0)
+    k2 = rhs(y + 0.5 * dt * k1, 0.5)
+    k3 = rhs(y + 0.5 * dt * k2, 0.5)
+    k4 = rhs(y + dt * k3, 1.0)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _march(config: SolverConfig, y: np.ndarray, rhs):
+    """RK4 over [0, T], yielding (t, y, snapshot due) after every step.
+
+    Steps are dt plus at most one trailing partial step to T; a snapshot is
+    due every snapshot_stride steps and at T.  A SolverError from rhs, or a
+    state that lost finiteness, raises SolverError with the step's end time.
+    """
     n_full = int(math.floor(config.T / config.dt + 1e-9))
     steps = [config.dt] * n_full
     tail = config.T - n_full * config.dt
     if tail > 1e-9 * config.T:
         steps.append(tail)
-    return steps
+    for k, dt in enumerate(steps):
+        last = k == len(steps) - 1
+        t = config.T if last else (k + 1) * config.dt
+        try:
+            y = _rk4_step(rhs, y, dt)
+        except SolverError as err:
+            raise SolverError(f"{err} at t = {t:.6g}", time=t) from err
+        if not np.all(np.isfinite(y)):
+            raise SolverError(f"solution lost finiteness at t = {t:.6g}", time=t)
+        yield t, y, last or (k + 1) % config.snapshot_stride == 0
 
 
 def solve_eulerian(u0: Field, params: BParams, config: SolverConfig) -> Trajectory:
     """Classical RK4 on the nonlocal velocity form with fixed dt."""
     grid = u0.grid
-    b = params.b
-    u = u0.values.copy()
     times = [0.0]
-    states = [Field(grid, u)]
+    states = [Field(grid, u0.values)]
     termination = COMPLETED
-    steps = _step_times(config)
-    for k, dt in enumerate(steps):
-        k1 = _rhs_eulerian_arr(grid, u, b)
-        k2 = _rhs_eulerian_arr(grid, u + 0.5 * dt * k1, b)
-        k3 = _rhs_eulerian_arr(grid, u + 0.5 * dt * k2, b)
-        k4 = _rhs_eulerian_arr(grid, u + dt * k3, b)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        last = k == len(steps) - 1
-        t = config.T if last else (k + 1) * config.dt
-        if not np.all(np.isfinite(u)):
-            raise SolverError(f"solution lost finiteness at t = {t:.6g}", time=t)
+    for t, u, due in _march(
+        config, u0.values, lambda u, _: _rhs_eulerian_arr(grid, u, params.b)
+    ):
         blown = grid.norm(grid.rfft(u), params.s) > config.blowup_norm_cap
-        if blown or last or (k + 1) % config.snapshot_stride == 0:
+        if blown or due:
             times.append(t)
             states.append(Field(grid, u))
         if blown:
@@ -304,49 +317,29 @@ def solve_eulerian(u0: Field, params: BParams, config: SolverConfig) -> Trajecto
 def solve_geodesic(u0: Field, params: BParams, config: SolverConfig) -> Trajectory:
     """RK4 on the geodesic system; terminates when phi_x drops below the guard."""
     grid = u0.grid
-    b = params.b
-    disp = np.zeros(grid.n_points)
-    phit = u0.values.copy()
     times = [0.0]
-    states = [SprayState(identity(grid), Field(grid, phit))]
+    states = [SprayState(identity(grid), Field(grid, u0.values))]
     termination = COMPLETED
+    warm = None  # each Christoffel solve starts from the last stage's value
 
-    warm = None
-    steps = _step_times(config)
-    for k, dt in enumerate(steps):
-        last = k == len(steps) - 1
-        t = config.T if last else (k + 1) * config.dt
-        v1 = phit
-        try:
-            a1 = _christoffel_at_arr(grid, b, disp, v1, warm)
-            v2 = phit + 0.5 * dt * a1
-            a2 = _christoffel_at_arr(grid, b, disp + 0.5 * dt * v1, v2, a1)
-            v3 = phit + 0.5 * dt * a2
-            a3 = _christoffel_at_arr(grid, b, disp + 0.5 * dt * v2, v3, a2)
-            v4 = phit + dt * a3
-            a4 = _christoffel_at_arr(grid, b, disp + dt * v3, v4, a3)
-            warm = a4
-        except PositivityError:
-            termination = BLOWUP_PHIX
-            break
-        except SolverError as err:
-            raise SolverError(f"{err} at t = {t:.6g}", time=t) from err
-        disp = disp + (dt / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        phit = phit + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        if not (np.all(np.isfinite(disp)) and np.all(np.isfinite(phit))):
-            raise SolverError(f"flow lost finiteness at t = {t:.6g}", time=t)
-        try:
-            phi = Diffeomorphism(grid, Field(grid, disp))
-        except PositivityError:
-            termination = BLOWUP_PHIX
-            break
-        blown = float(np.min(phi.phi_x)) < config.min_phix
-        if blown or last or (k + 1) % config.snapshot_stride == 0:
-            times.append(t)
-            states.append(SprayState(phi, Field(grid, phit)))
-        if blown:
-            termination = BLOWUP_PHIX
-            break
+    def rhs(y, _):
+        nonlocal warm
+        warm = _christoffel_at_arr(grid, params.b, y[0], y[1], warm)
+        return np.stack([y[1], warm])
+
+    y0 = np.stack([np.zeros(grid.n_points), u0.values])
+    try:
+        for t, y, due in _march(config, y0, rhs):
+            phi = Diffeomorphism(grid, Field(grid, y[0]))
+            blown = float(np.min(phi.phi_x)) < config.min_phix
+            if blown or due:
+                times.append(t)
+                states.append(SprayState(phi, Field(grid, y[1])))
+            if blown:
+                termination = BLOWUP_PHIX
+                break
+    except PositivityError:
+        termination = BLOWUP_PHIX
     return Trajectory(params, config, np.array(times), states, termination)
 
 
@@ -385,6 +378,7 @@ def flow_from_velocity(traj: Trajectory) -> Trajectory:
     if not traj.states or not isinstance(traj.states[0], Field):
         raise TypeError("flow reconstruction expects an Eulerian trajectory")
     grid = traj.states[0].grid
+    x = grid.x
     disp = np.zeros(grid.n_points)
     out_states = [SprayState(identity(grid), traj.states[0])]
     for k in range(len(traj.times) - 1):
@@ -392,12 +386,8 @@ def flow_from_velocity(traj: Trajectory) -> Trajectory:
         u_a = traj.states[k]
         u_b = traj.states[k + 1]
         u_mid = Field(grid, 0.5 * (u_a.values + u_b.values))
-        x = grid.x
-        k1 = evaluate_field(u_a, x + disp)
-        k2 = evaluate_field(u_mid, x + disp + 0.5 * dt * k1)
-        k3 = evaluate_field(u_mid, x + disp + 0.5 * dt * k2)
-        k4 = evaluate_field(u_b, x + disp + dt * k3)
-        disp = disp + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u_at = {0.0: u_a, 0.5: u_mid, 1.0: u_b}
+        disp = _rk4_step(lambda d, c: evaluate_field(u_at[c], x + d), disp, dt)
         phi = Diffeomorphism(grid, Field(grid, disp))  # raises on phi_x <= 0
         out_states.append(
             SprayState(phi, Field(grid, evaluate_field(u_b, x + disp)))

@@ -165,12 +165,6 @@ def helmholtz_inverse(f: Field) -> Field:
     return Field(g, g.irfft(g.helmholtz * g.rfft(f.values)))
 
 
-def dealias_mask(grid: Grid) -> np.ndarray:
-    """Boolean mask keeping |k| <= N//3, over the full spectrum in numpy fft order."""
-    k = np.fft.fftfreq(grid.n_points, d=1.0 / grid.n_points)
-    return np.abs(k) <= grid.n_points // 3
-
-
 def multiply(f: Field, g: Field, dealias: bool = False) -> Field:
     """Pointwise product; with dealias, 2/3-truncate both inputs and the result."""
     f._check_same_grid(g)

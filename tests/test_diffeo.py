@@ -154,6 +154,17 @@ class TestInvert:
         with pytest.raises(InversionError, match="not increasing"):
             invert(phi)
 
+    def test_unresolved_inverse_rejected(self):
+        # min phi_x 0.001: Newton converges pointwise, but the inverse is too
+        # steep for the grid and its spectral derivative goes negative
+        g = make_grid(20, 2048)
+        xi = 3 * np.pi / g.half_length
+        phi = from_displacement(Field(g, 0.3 + 0.999 / xi * np.sin(xi * g.x)))
+        with pytest.raises(InversionError) as err:
+            invert(phi)
+        assert "inverse is not resolved on the grid" in str(err.value)
+        assert "-3.314e+00" in str(err.value)
+
     def test_margin_violation(self):
         g = make_grid(np.pi, 128)
         # phi_x reaches ~1e-9 at the trough: constructible but not invertible

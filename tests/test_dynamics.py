@@ -152,6 +152,17 @@ class TestSolveEulerian:
         assert err.value.time is not None
 
 
+@pytest.mark.parametrize("solve", [solve_eulerian, solve_geodesic])
+def test_schedule_ends_with_partial_step(solve):
+    # 7 full steps and a half step: snapshots every 3 steps and at T
+    g = make_grid(20, 64)
+    dt, T = 0.01, 0.075
+    cfg = SolverConfig(dt=dt, T=T, snapshot_stride=3)
+    traj = solve(gaussian_field(g), BParams(b=2.0, s=S), cfg)
+    assert traj.termination == COMPLETED
+    assert traj.times.tolist() == [0.0, 3 * dt, 6 * dt, T]
+
+
 class TestChristoffelId:
     def test_constant_velocity(self):
         g = make_grid(20, 128)
@@ -187,7 +198,26 @@ class TestChristoffelId:
         params = BParams(b=2.0, s=S)
         vw = christoffel_id(v, w, params)
         wv = christoffel_id(w, v, params)
-        assert np.max(np.abs(vw.values - wv.values)) < 1e-13
+        assert np.array_equal(vw.values, wv.values)
+
+    @pytest.mark.parametrize("b", [0.0, 2.0, 3.0])
+    def test_off_diagonal_formula(self, b):
+        # B(v, w) = -(b/2)(v w_x + w v_x) + ((b-3)/2)(v_x w_xx + w_x v_xx)
+        g = make_grid(20, 256)
+        v = gaussian_field(g, amp=0.7, width=2.0, center=-1.0)
+        w = Field(g, np.sin(np.pi * 3 * g.x / g.half_length) * np.exp(-(g.x**2) / 8))
+        vx, vxx = derivative(v, 1), derivative(v, 2)
+        wx, wxx = derivative(w, 1), derivative(w, 2)
+
+        def prod(f, h):
+            return multiply(f, h, dealias=True)
+
+        want = helmholtz_inverse(
+            (-b / 2.0) * (prod(v, wx) + prod(w, vx))
+            + ((b - 3.0) / 2.0) * (prod(vx, wxx) + prod(wx, vxx))
+        ).values
+        got = christoffel_id(v, w, BParams(b=b, s=S)).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestChristoffelAt:
