@@ -2,7 +2,6 @@
 
 from .diagnostics import (
     ConservationReport,
-    ch_energy,
     conservation_residual,
     disjoint_support_ratio,
     momentum,
@@ -10,13 +9,11 @@ from .diagnostics import (
 )
 from .diffeo import (
     Diffeomorphism,
-    compose_diffeo,
     compose_field,
     evaluate_field,
     from_displacement,
     identity,
     invert,
-    shift,
 )
 from .dynamics import (
     BParams,
@@ -33,6 +30,7 @@ from .dynamics import (
     rhs_eulerian,
     solve_eulerian,
     solve_geodesic,
+    transported_momentum,
 )
 from .experiments import (
     ExperimentReport,

@@ -3,7 +3,7 @@
 Exit-code protocol: 0 success, 1 configuration error, 2 blow-up or other
 numerical termination, 3 acceptance-tolerance failure.  All artifacts are
 deterministic: identical configs produce identical bytes on the same
-platform profile, and every manifest embeds the config hash.
+platform, and every manifest embeds the config hash.
 """
 
 from __future__ import annotations

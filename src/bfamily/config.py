@@ -61,7 +61,7 @@ _SWEEP_KEYS = {
 
 
 def _coerce(kind: str, raw: str, key: str, line: int):
-    """Parse one value; floats must be finite (nan and inf are rejected)."""
+    """Parse one value; floats must be finite, lists must not be empty."""
     if kind == "str":
         return raw
     parse = float if kind.startswith("float") else int
@@ -69,7 +69,7 @@ def _coerce(kind: str, raw: str, key: str, line: int):
     parts = raw.split(",") if is_list else [raw]
     try:
         values = tuple(parse(p.strip()) for p in parts if p.strip())
-        if all(math.isfinite(v) for v in values):
+        if values and all(math.isfinite(v) for v in values):
             return values if is_list else values[0]
     except ValueError:
         pass
@@ -282,6 +282,8 @@ def parse_config(text: str, command: str) -> RunConfig:
             values[key] = default
     if command == "sweep" and values.get("sweep.command") is None:
         raise ConfigError("sweep requires 'sweep.command'")
-    if values.get("initial.family") == "file" and values.get("initial.path") is None:
-        raise ConfigError("file family requires 'initial.path'")
+    for key, value in values.items():
+        prefix = key.removesuffix(".family")
+        if prefix != key and value == "file" and values[f"{prefix}.path"] is None:
+            raise ConfigError(f"file family requires '{prefix}.path'")
     return RunConfig(command, values)

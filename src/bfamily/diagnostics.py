@@ -2,7 +2,9 @@
 
 The transported momentum q(t) = (y o phi) * phi_x^b is constant along
 geodesics; its deviation from q(0) is pure discretization error and is
-reported in both the H^{s-2} norm and the sup norm.
+reported in both the H^{s-2} norm and the sup norm.  q is computed in flow
+coordinates as phi_x^(b-1) * S phi_t, with S the self-adjoint operator of
+the Christoffel solve, so the check never inverts phi.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffeo import Diffeomorphism, compose_field, invert
-from .dynamics import BParams, Trajectory, eulerian_from_lagrangian
+from .dynamics import BParams, Trajectory, transported_momentum
 from .spectral import Field, derivative, hs_norm, support_indices
 
 
@@ -38,13 +40,6 @@ def momentum(u: Field) -> Field:
     return u - derivative(u, 2)
 
 
-def _transported_momentum(state, b: float) -> Field:
-    u = eulerian_from_lagrangian(state)
-    y = momentum(u)
-    pushed = compose_field(y, state.phi)
-    return Field(u.grid, pushed.values * state.phi.phi_x**b)
-
-
 def conservation_residual(
     traj: Trajectory, params: BParams, relative: bool = True
 ) -> ConservationReport:
@@ -54,12 +49,12 @@ def conservation_residual(
     """
     if not traj.states or isinstance(traj.states[0], Field):
         raise TypeError("conservation check expects a Lagrangian trajectory")
-    q0 = _transported_momentum(traj.states[0], params.b)
+    q0 = transported_momentum(traj.states[0], params.b)
     norm0 = hs_norm(q0, params.s - 2)
     sup0 = float(np.max(np.abs(q0.values)))
     res_norm, res_sup = [], []
     for state in traj.states:
-        q = _transported_momentum(state, params.b)
+        q = transported_momentum(state, params.b)
         diff = q - q0
         r_n = hs_norm(diff, params.s - 2)
         r_s = float(np.max(np.abs(diff.values)))
@@ -90,8 +85,3 @@ def disjoint_support_ratio(f: Field, g: Field, s: float) -> float:
     if denom == 0.0:
         return 1.0
     return hs_norm(f + g, s) ** 2 / denom
-
-
-def ch_energy(u: Field) -> float:
-    """H^1 energy, the b = 2 conserved quantity."""
-    return hs_norm(u, 1.0) ** 2

@@ -89,10 +89,6 @@ def identity(grid: Grid) -> Diffeomorphism:
     return Diffeomorphism(grid, Field.zeros(grid))
 
 
-def shift(grid: Grid, c: float) -> Diffeomorphism:
-    return Diffeomorphism(grid, Field(grid, np.full(grid.n_points, float(c))))
-
-
 def from_displacement(f: Field) -> Diffeomorphism:
     return Diffeomorphism(f.grid, f)
 
@@ -104,14 +100,6 @@ def compose_field(g: Field, phi: Diffeomorphism) -> Field:
     if not np.any(phi.displacement.values):
         return Field(g.grid, g.values)  # composing with the identity is exact
     return Field(g.grid, evaluate_field(g, phi.positions()))
-
-
-def compose_diffeo(phi: Diffeomorphism, psi: Diffeomorphism) -> Diffeomorphism:
-    """(phi o psi)(x) = psi(x) + f_phi(psi(x)); displacement f_psi + f_phi o psi."""
-    if phi.grid != psi.grid:
-        raise GridError("diffeomorphisms live on different grids")
-    disp = psi.displacement.values + evaluate_field(phi.displacement, psi.positions())
-    return Diffeomorphism(phi.grid, Field(phi.grid, disp))
 
 
 def invert(phi: Diffeomorphism) -> Diffeomorphism:

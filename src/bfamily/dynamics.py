@@ -14,7 +14,8 @@ form S g = phi_x g - D(g_x / phi_x) = phi_x B by conjugate gradients
 preconditioned with the flat Helmholtz inverse.  The solve stops at
 relative residual CHRISTOFFEL_RTOL, checked on the true residual, and
 raises SolverError if N iterations do not reach it.  The symmetric form at
-the identity is the polarization of Gamma_id(v, v).
+the identity is the polarization of Gamma_id(v, v).  As y o phi = A_phi phi_t,
+the transported momentum (y o phi) phi_x^b is phi_x^(b-1) S phi_t: no inversion.
 
 Every RK4 step, flow_from_velocity's too, is one _rk4_step; _march owns
 the solvers' step schedule, finiteness check and snapshot cadence.
@@ -165,28 +166,36 @@ def christoffel_id(v: Field, w: Field, params: BParams) -> Field:
     return Field(grid, (plus - minus) / 4.0)
 
 
-def _solve_conjugated_helmholtz(grid: Grid, phi_x: np.ndarray, bil, initial):
-    """Samples of the solution of A_phi g = B, B given by its spectrum bil.
+def _self_adjoint_form(grid: Grid, phi_x: np.ndarray):
+    """apply_s(spec) -> (samples of g, spectrum of S g), g given by its spectrum.
 
-    Preconditioned CG on S g = phi_x g - D(g_x / phi_x) = phi_x B, which is
-    A_phi times phi_x.  D zeroes the Nyquist mode, so it is skew-adjoint and
-    S is symmetric positive definite in the Parseval inner product; the flat
-    Helmholtz inverse preconditions it.  The start is initial (samples, e.g.
-    the previous stage's value) or else the flat Helmholtz inverse of B,
-    exact at phi = id.  Only the true residual (not the recurrence's) is
-    accepted, and CG's exact-arithmetic bound of N iterations caps the solve.
+    S g = phi_x g - D(g_x / phi_x) = phi_x A_phi g takes g, g_x in one batched
+    inverse transform and phi_x g, g_x / phi_x in one batched forward one.
     """
-    # each application of S takes g and g_x in one batched inverse
-    # transform and phi_x g, g_x / phi_x in one batched forward transform
     to_g_gx = np.stack([np.ones_like(grid.d1), grid.d1])
     by_phi_x = np.stack([phi_x, 1.0 / phi_x])
-    rhs = grid.rfft(phi_x * grid.irfft(bil))
 
     def apply_s(spec):
-        """Samples of g and the spectrum of S g, g given by its spectrum."""
         samples = grid.irfft(to_g_gx * spec)
         terms = grid.rfft(by_phi_x * samples)
         return samples[0], terms[0] - grid.d1 * terms[1]
+
+    return apply_s
+
+
+def _solve_conjugated_helmholtz(grid: Grid, phi_x: np.ndarray, bil, initial):
+    """Samples of the solution of A_phi g = B, B given by its spectrum bil.
+
+    Preconditioned CG on S g = phi_x B (_self_adjoint_form).  D zeroes the
+    Nyquist mode, so it is skew-adjoint and S is symmetric positive definite
+    in the Parseval inner product; the flat Helmholtz inverse preconditions
+    it.  The start is initial (samples, e.g. the previous stage's value) or
+    else the flat Helmholtz inverse of B, exact at phi = id.  Only the true
+    residual (not the recurrence's) is accepted, and CG's exact-arithmetic
+    bound of N iterations caps the solve.
+    """
+    apply_s = _self_adjoint_form(grid, phi_x)
+    rhs = grid.rfft(phi_x * grid.irfft(bil))
 
     def inner(p, q):
         return float(np.real(np.vdot(p, grid.weights * q)))
@@ -395,6 +404,13 @@ def flow_from_velocity(traj: Trajectory) -> Trajectory:
     return Trajectory(
         traj.params, traj.config, traj.times.copy(), out_states, traj.termination
     )
+
+
+def transported_momentum(state: SprayState, b: float) -> Field:
+    """q = (y o phi) phi_x^b = phi_x^(b-1) S phi_t, without inverting phi."""
+    grid, phi_x = state.phi.grid, state.phi.phi_x
+    s_phit = _self_adjoint_form(grid, phi_x)(grid.rfft(state.phit.values))[1]
+    return Field(grid, phi_x ** (b - 1.0) * grid.irfft(s_phit))
 
 
 def eulerian_from_lagrangian(state: SprayState) -> Field:

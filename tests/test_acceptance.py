@@ -86,7 +86,7 @@ def test_criterion_01_conservation_law():
         return conservation_residual(traj, params).residual_s_minus_2[-1]
 
     residuals = {b: final_residual(b, 1e-3) for b in (0.0, 2.0, 3.0)}
-    # at dt = 1e-3 the residual sits on the inversion/roundoff floor, so the
+    # at dt = 1e-3 the residual sits on the roundoff floor, so the
     # fourth-order refinement law is asserted where discretization dominates
     coarse = final_residual(2.0, 0.05)
     half = final_residual(2.0, 0.025)

@@ -384,6 +384,11 @@ BAD_INPUTS = {
     "bump-at-boundary": ("solve", _bump(14.8, 1, 1024)),
     "bump-under-resolved": ("solve", _bump(0, 0.5, 64)),
     "grid-not-power-of-two": ("solve", FAST_SOLVE.replace("grid.N = 64", "grid.N = 1000")),
+    "probe-file-without-path": ("nonuniform", "grid.N = 512\nprobe.family = file\n"),
+    "empty-n-values": (
+        "nonuniform",
+        NONUNIFORM_CFG.replace("experiment.n_values = 1,16", "experiment.n_values = ,"),
+    ),
 }
 
 

@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 from bfamily.diagnostics import (
-    ch_energy,
     conservation_residual,
     disjoint_support_ratio,
     momentum,
     pushforward_reconstruct,
 )
-from bfamily.diffeo import identity, shift
+from bfamily.diffeo import compose_field, from_displacement, identity
 from bfamily.dynamics import (
     BParams,
     SolverConfig,
+    SprayState,
+    eulerian_from_lagrangian,
     solve_eulerian,
     solve_geodesic,
+    transported_momentum,
 )
 from bfamily.spectral import Field, helmholtz_inverse, hs_norm, make_grid
 
@@ -57,6 +59,23 @@ class TestMomentum:
         )
 
 
+class TestTransportedMomentum:
+    @pytest.mark.parametrize("b", [0.0, 2.0, 3.0])
+    @pytest.mark.parametrize("d", [0.25, 0.5, 0.73])
+    def test_matches_inversion_route(self, d, b):
+        # flow coordinates against (y o phi) phi_x^b with y recovered through
+        # phi^{-1}; min phi_x is 1 - d
+        g = make_grid(20, 1024)
+        xi = 3 * np.pi / g.half_length
+        phi = from_displacement(Field(g, 0.3 + d / xi * np.sin(xi * g.x)))
+        state = SprayState(phi, gaussian_field(g, center=1.0))
+        got = transported_momentum(state, b)
+        y = momentum(eulerian_from_lagrangian(state))
+        want = compose_field(y, phi).values * phi.phi_x**b
+        rel = np.linalg.norm(got.values - want) / np.linalg.norm(want)
+        assert rel <= 1e-10
+
+
 class TestConservationResidual:
     def test_time_zero_exactly_zero(self):
         g = make_grid(20, 256)
@@ -92,6 +111,18 @@ class TestConservationResidual:
         coarse, half = final_residual(0.05), final_residual(0.025)
         assert coarse / half == pytest.approx(16.0, rel=0.5)
 
+    def test_never_evaluates_off_grid(self, monkeypatch):
+        g = make_grid(20, 256)
+        params = BParams(b=2.0, s=S)
+        traj = solve_geodesic(gaussian_field(g), params, SolverConfig(dt=0.05, T=0.2))
+
+        def off_grid(*args):
+            raise AssertionError("conservation check evaluated off the grid")
+
+        monkeypatch.setattr("bfamily.diffeo.evaluate_field", off_grid)
+        report = conservation_residual(traj, params)
+        assert 0.0 < report.max_residual <= 1e-5
+
     def test_rejects_eulerian_trajectory(self):
         g = make_grid(20, 64)
         params = BParams(b=2.0, s=S)
@@ -111,7 +142,9 @@ class TestPushforwardReconstruct:
         g = make_grid(20, 256)
         y0 = momentum(gaussian_field(g))
         c = 7 * g.spacing
-        out = pushforward_reconstruct(y0, shift(g, c), 0.0)
+        out = pushforward_reconstruct(
+            y0, from_displacement(Field(g, np.full(256, c))), 0.0
+        )
         want = np.roll(y0.values, 7)  # y0(x - c) for c = 7h
         assert np.max(np.abs(out.values - want)) <= 1e-10
 
@@ -185,14 +218,3 @@ class TestDisjointSupportRatio:
         h = bump_field(g, 2.0, center=0.5)
         with pytest.raises(ValueError):
             disjoint_support_ratio(f, h, 0.5)
-
-
-class TestChEnergy:
-    def test_zero(self):
-        g = make_grid(20, 64)
-        assert ch_energy(Field.zeros(g)) == 0.0
-
-    def test_unit_sine_closed_form(self):
-        g = make_grid(np.pi, 64)
-        u = Field.from_function(g, np.sin)
-        assert ch_energy(u) == pytest.approx(2 * np.pi, rel=1e-12)

@@ -5,13 +5,11 @@ import pytest
 
 from bfamily.diffeo import (
     Diffeomorphism,
-    compose_diffeo,
     compose_field,
     evaluate_field,
     from_displacement,
     identity,
     invert,
-    shift,
 )
 from bfamily.errors import InversionError, PositivityError
 from bfamily.spectral import Field, hs_norm, make_grid
@@ -28,7 +26,6 @@ def random_smooth_field(grid, rng, n_modes=6, scale=1.0):
 
 def random_small_diffeo(grid, rng, scale=0.08):
     return from_displacement(random_smooth_field(grid, rng, scale=scale))
-
 
 class TestConstruction:
     def test_positivity_enforced(self):
@@ -57,7 +54,7 @@ class TestComposeField:
         rng = np.random.RandomState(1)
         f = random_smooth_field(g, rng)
         c = 5 * g.spacing
-        got = compose_field(f, shift(g, c))
+        got = compose_field(f, from_displacement(Field(g, np.full(128, c))))
         want = np.roll(f.values, -5)  # g(x + 5h) shifts samples left
         assert np.max(np.abs(got.values - want)) < 5e-12
 
@@ -68,46 +65,6 @@ class TestComposeField:
         got = compose_field(f, phi)
         want = np.sin(g.x + 0.3 * np.sin(g.x))
         assert np.max(np.abs(got.values - want)) < 1e-8
-
-
-class TestComposeDiffeo:
-    def test_identity_two_sided(self):
-        g = make_grid(20, 128)
-        rng = np.random.RandomState(2)
-        phi = random_small_diffeo(g, rng)
-        left = compose_diffeo(phi, identity(g))
-        right = compose_diffeo(identity(g), phi)
-        for other in (left, right):
-            assert (
-                np.max(np.abs(other.displacement.values - phi.displacement.values))
-                < 1e-12
-            )
-
-    def test_shifts_add(self):
-        g = make_grid(20, 64)
-        ab = compose_diffeo(shift(g, 0.7), shift(g, -0.2))
-        assert np.allclose(ab.displacement.values, 0.5, atol=1e-12)
-
-    def test_compose_with_inverse_is_identity(self):
-        g = make_grid(20, 256)
-        rng = np.random.RandomState(3)
-        phi = random_small_diffeo(g, rng)
-        there_and_back = compose_diffeo(phi, invert(phi))
-        assert np.max(np.abs(there_and_back.displacement.values)) <= 1e-8
-
-    def test_associativity(self):
-        g = make_grid(20, 128)
-        rng = np.random.RandomState(4)
-        for _ in range(5):
-            a, b, c = (random_small_diffeo(g, rng, scale=0.05) for _ in range(3))
-            left = compose_diffeo(compose_diffeo(a, b), c)
-            right = compose_diffeo(a, compose_diffeo(b, c))
-            assert (
-                np.max(
-                    np.abs(left.displacement.values - right.displacement.values)
-                )
-                <= 1e-8
-            )
 
 
 class TestInvert:
@@ -126,7 +83,7 @@ class TestInvert:
         g_pi = make_grid(np.pi, 64)
         cases += [(g_pi, m * g_pi.spacing) for m in (1, -4, -7, 68, 83, 94)]
         for grid, c in cases:
-            inv = invert(shift(grid, c))
+            inv = invert(from_displacement(Field(grid, np.full(64, c))))
             assert np.allclose(inv.displacement.values, -c, atol=1e-11)
 
     def test_defining_equation_residual(self):
