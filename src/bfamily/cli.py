@@ -229,12 +229,15 @@ def run_sweep(cfg: RunConfig, out: Path, jobs: int, formulation: str, tol) -> in
         raise ConfigError(f"sweep.command must be one of {sorted(_RUNNERS)}")
     b_values = cfg["sweep.b"] or (cfg["params.b"],)
     n_values = cfg["sweep.N"] or (cfg["grid.N"],)
-    out.mkdir(parents=True, exist_ok=True)
     cells = [
         (f"b{b:g}_N{n}", b, n, sweep_cell(cfg, b, n))
         for b in b_values
         for n in n_values
     ]
+    names = [cell[0] for cell in cells]
+    if clash := [name for i, name in enumerate(names) if name in names[:i]]:
+        raise ConfigError(f"two sweep.b values share the cell name '{clash[0]}'")
+    out.mkdir(parents=True, exist_ok=True)
 
     index = []
     pending = []

@@ -61,7 +61,7 @@ _SWEEP_KEYS = {
 
 
 def _coerce(kind: str, raw: str, key: str, line: int):
-    """Parse one value; floats must be finite, lists must not be empty."""
+    """Parse one value; floats must be finite, lists non-empty without repeats."""
     if kind == "str":
         return raw
     parse = float if kind.startswith("float") else int
@@ -69,10 +69,12 @@ def _coerce(kind: str, raw: str, key: str, line: int):
     parts = raw.split(",") if is_list else [raw]
     try:
         values = tuple(parse(p.strip()) for p in parts if p.strip())
-        if values and all(math.isfinite(v) for v in values):
-            return values if is_list else values[0]
     except ValueError:
-        pass
+        values = ()
+    if values and all(math.isfinite(v) for v in values):
+        if len(set(values)) == len(values):
+            return values if is_list else values[0]
+        raise ConfigError(f"line {line}: repeated entry in '{key} = {raw}'")
     what = f"finite {kind}" if parse is float else kind
     raise ConfigError(f"line {line}: cannot parse '{key} = {raw}' as {what}")
 

@@ -2,7 +2,9 @@
 
 Eulerian: method-of-lines RK4 on
     u_t = -u u_x + (1 - dx^2)^{-1} (-b u u_x + (b-3) u_x u_xx),
-all quadratic products 2/3-dealiased.
+all quadratic products 2/3-dealiased.  The RK4 state is the half spectrum
+of u, so each right-hand side is one batched inverse transform (u, u_x,
+u_xx) and one batched forward transform (both products).
 
 Lagrangian: RK4 on the first-order geodesic system
     (phi, phi_t)' = (phi_t, Gamma_phi(phi_t, phi_t)),
@@ -120,33 +122,17 @@ def default_dt(u0: Field) -> float:
     return min(1e-3, 0.5 * u0.grid.spacing / peak)
 
 
-def _rhs_eulerian_arr(grid: Grid, u: np.ndarray, b: float) -> np.ndarray:
-    # one truncated spectrum gives u, u_x and u_xx; -u u_x and the
-    # Helmholtz term are combined before the single inverse transform
-    spec = grid.keep * grid.rfft(u)
-    ut = grid.irfft(spec)
-    ux = grid.irfft(grid.d1 * spec)
-    uxx = grid.irfft(grid.d2 * spec)
-    uux = grid.product(ut, ux)
-    uxuxx = grid.product(ux, uxx)
-    return grid.irfft(-uux + grid.helmholtz * (-b * uux + (b - 3.0) * uxuxx))
+def _rhs_eulerian_arr(grid: Grid, spec: np.ndarray, b: float) -> np.ndarray:
+    """Half spectrum of the right-hand side at the half spectrum spec of u."""
+    jet = grid.truncated(grid.jet * spec)  # rows u, u_x, u_xx: one stacked irfft
+    uux, uxuxx = grid.product(jet[:2], jet[1:])
+    return -uux + grid.helmholtz * (-b * uux + (b - 3.0) * uxuxx)
 
 
 def rhs_eulerian(u: Field, params: BParams) -> Field:
     """Right-hand side of the nonlocal velocity form."""
-    return Field(u.grid, _rhs_eulerian_arr(u.grid, u.values, params.b))
-
-
-def _bilinear(grid: Grid, b: float, v_spec, d1: np.ndarray, d2: np.ndarray):
-    """Spectrum of -b v d1 + (b-3) d1 d2, factors and products 2/3-truncated.
-
-    v enters through its spectrum; d1, d2 are the (conjugated) first and
-    second derivatives of v as samples.
-    """
-    vt = grid.truncated(v_spec)
-    d1t = grid.truncated(grid.rfft(d1))
-    d2t = grid.truncated(grid.rfft(d2))
-    return -b * grid.product(vt, d1t) + (b - 3.0) * grid.product(d1t, d2t)
+    spec = _rhs_eulerian_arr(u.grid, u.grid.rfft(u.values), params.b)
+    return Field(u.grid, u.grid.irfft(spec))
 
 
 def christoffel_id(v: Field, w: Field, params: BParams) -> Field:
@@ -172,11 +158,10 @@ def _self_adjoint_form(grid: Grid, phi_x: np.ndarray):
     S g = phi_x g - D(g_x / phi_x) = phi_x A_phi g takes g, g_x in one batched
     inverse transform and phi_x g, g_x / phi_x in one batched forward one.
     """
-    to_g_gx = np.stack([np.ones_like(grid.d1), grid.d1])
     by_phi_x = np.stack([phi_x, 1.0 / phi_x])
 
     def apply_s(spec):
-        samples = grid.irfft(to_g_gx * spec)
+        samples = grid.irfft(grid.jet[:2] * spec)  # rows g, g_x
         terms = grid.rfft(by_phi_x * samples)
         return samples[0], terms[0] - grid.d1 * terms[1]
 
@@ -208,9 +193,10 @@ def _solve_conjugated_helmholtz(grid: Grid, phi_x: np.ndarray, bil, initial):
     target = CHRISTOFFEL_RTOL**2 * inner(rhs, rhs)
     g = grid.helmholtz * bil if initial is None else grid.rfft(initial)
     samples, r = true_residual(g)
+    rr = inner(r, r)
     p = rz = None
     for _ in range(grid.n_points):
-        if inner(r, r) <= target:  # only a true residual passes
+        if rr <= target:  # only a true residual passes
             return samples
         z = grid.helmholtz * r
         rz, rz_prev = inner(r, z), rz
@@ -222,8 +208,9 @@ def _solve_conjugated_helmholtz(grid: Grid, phi_x: np.ndarray, bil, initial):
         alpha = rz / curvature
         g = g + alpha * p
         r = r - alpha * sp
-        if inner(r, r) <= target:
+        if (rr := inner(r, r)) <= target:
             samples, r = true_residual(g)
+            rr = inner(r, r)
     samples, r = true_residual(g)
     if inner(r, r) <= target:
         return samples
@@ -241,19 +228,25 @@ def _christoffel_at_arr(
     v: np.ndarray,
     initial: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Gamma_phi(v, v) in flow coordinates, phi = id + disp."""
-    disp_spec = grid.rfft(disp)
-    fx, fxx = grid.irfft(grid.d1 * disp_spec), grid.irfft(grid.d2 * disp_spec)
+    """Gamma_phi(v, v) in flow coordinates, phi = id + disp.
+
+    B = -b v d1 + (b-3) d1 d2, d1 and d2 the conjugated first and second
+    derivatives of v, factors and products 2/3-truncated; every transform
+    stage is one stacked call.
+    """
+    disp_spec, spec = grid.rfft(np.stack([disp, v]))
+    rows = np.vstack([grid.jet[1:] * disp_spec, grid.jet[1:] * spec, grid.keep * spec])
+    fx, fxx, vx, vxx, vt = grid.irfft(rows)
     phi_x = 1.0 + fx
     if np.min(phi_x) <= 0.0:
         raise PositivityError(
             f"flow map degenerated inside a stage (min phi_x = {np.min(phi_x):.3e})"
         )
-    spec = grid.rfft(v)
-    vx, vxx = grid.irfft(grid.d1 * spec), grid.irfft(grid.d2 * spec)
     d1 = vx / phi_x
     d2 = vxx / phi_x**2 - vx * fxx / phi_x**3
-    bil = _bilinear(grid, b, spec, d1, d2)
+    d1t, d2t = grid.truncated(grid.rfft(np.stack([d1, d2])))
+    vd1, d1d2 = grid.product(np.stack([vt, d1t]), np.stack([d1t, d2t]))
+    bil = -b * vd1 + (b - 3.0) * d1d2
     if grid.norm(bil) == 0.0:
         return np.zeros_like(v)
     return _solve_conjugated_helmholtz(grid, phi_x, bil, initial)
@@ -305,18 +298,18 @@ def _march(config: SolverConfig, y: np.ndarray, rhs):
 
 
 def solve_eulerian(u0: Field, params: BParams, config: SolverConfig) -> Trajectory:
-    """Classical RK4 on the nonlocal velocity form with fixed dt."""
-    grid = u0.grid
+    """Classical RK4 with fixed dt on the half spectrum of u; snapshots are samples."""
+    grid, b = u0.grid, params.b
     times = [0.0]
     states = [Field(grid, u0.values)]
     termination = COMPLETED
-    for t, u, due in _march(
-        config, u0.values, lambda u, _: _rhs_eulerian_arr(grid, u, params.b)
+    for t, spec, due in _march(
+        config, grid.rfft(u0.values), lambda y, _: _rhs_eulerian_arr(grid, y, b)
     ):
-        blown = grid.norm(grid.rfft(u), params.s) > config.blowup_norm_cap
+        blown = grid.norm(spec, params.s) > config.blowup_norm_cap
         if blown or due:
             times.append(t)
-            states.append(Field(grid, u))
+            states.append(Field(grid, grid.irfft(spec)))
         if blown:
             termination = BLOWUP_NORM
             break

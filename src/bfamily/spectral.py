@@ -29,6 +29,7 @@ class Grid:
       xi         wavenumbers pi*k/L
       d1, d2     d/dx (i xi, with the unpaired Nyquist mode zeroed so odd
                  derivatives stay real) and d^2/dx^2 (-xi^2)
+      jet        rows 1, d1, d2: one product gives the spectra of u, u_x, u_xx
       helmholtz  1/(1 + xi^2), the inverse of 1 - d^2/dx^2
       keep       1.0 on the dealiased band |k| <= N//3, else 0.0
       weights    L^2 weights of |c_k|^2 (modes 0 < k < N/2 count twice)
@@ -55,6 +56,7 @@ class Grid:
             ("xi", xi),
             ("d1", d1),
             ("d2", -(xi**2)),
+            ("jet", np.stack([np.ones_like(d1), d1, -(xi**2)])),
             ("helmholtz", 1.0 / (1.0 + xi**2)),
             ("keep", (k <= N // 3).astype(float)),
             ("weights", weights),

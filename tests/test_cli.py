@@ -389,6 +389,16 @@ BAD_INPUTS = {
         "nonuniform",
         NONUNIFORM_CFG.replace("experiment.n_values = 1,16", "experiment.n_values = ,"),
     ),
+    "repeated-n-values": (
+        "nonuniform",
+        NONUNIFORM_CFG.replace("experiment.n_values = 1,16", "experiment.n_values = 1,1"),
+    ),
+    "repeated-sweep-N": ("sweep", SWEEP_CFG + "sweep.N = 64,32,64\n"),
+    # b{b:g}_N{n} names both cells b1_N64
+    "colliding-sweep-cells": (
+        "sweep",
+        SWEEP_CFG.replace("sweep.b = 0,2,3", "sweep.b = 1.0000001,1.0000002"),
+    ),
 }
 
 

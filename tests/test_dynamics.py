@@ -39,6 +39,20 @@ def gaussian_field(grid, amp=0.5, width=2.0, center=0.0):
     return Field(grid, amp * np.exp(-(((grid.x - center) / width) ** 2)))
 
 
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Records every numpy.fft.rfft/irfft call, the spectral kernel's transforms."""
+    calls = []
+    for name in ("rfft", "irfft"):
+
+        def counted(*args, _transform=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 def random_small_diffeo(grid, rng, scale=0.05, n_modes=5):
     v = np.zeros(grid.n_points)
     for k in range(1, n_modes + 1):
@@ -143,6 +157,33 @@ class TestSolveEulerian:
         assert traj.termination == BLOWUP_NORM
         assert len(traj.times) == 2  # t=0 plus the offending step
 
+    @pytest.mark.parametrize("b", [0.0, 2.0, 3.0])
+    def test_matches_sample_space_rk4(self, b):
+        # the half-spectrum march against RK4 on samples of the public RHS
+        g = make_grid(20, 256)
+        params = BParams(b=b, s=S)
+        dt, steps = 0.01, 100
+        u = gaussian_field(g)
+        for _ in range(steps):
+            k1 = rhs_eulerian(u, params)
+            k2 = rhs_eulerian(u + (0.5 * dt) * k1, params)
+            k3 = rhs_eulerian(u + (0.5 * dt) * k2, params)
+            k4 = rhs_eulerian(u + dt * k3, params)
+            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        cfg = SolverConfig(dt=dt, T=dt * steps, snapshot_stride=10**9)
+        got = solve_eulerian(gaussian_field(g), params, cfg).final_state
+        assert hs_norm(got - u, 0.0) <= 1e-13 * hs_norm(u, 0.0)
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_transforms_per_step(self, fft_calls, steps):
+        # 8 per step (4 stages of one stacked irfft and one stacked rfft),
+        # plus the forward transform of u0 and one inverse per snapshot
+        g = make_grid(20, 256)
+        cfg = SolverConfig(dt=0.01, T=0.01 * steps, snapshot_stride=10**9)
+        traj = solve_eulerian(gaussian_field(g), BParams(b=2.0, s=S), cfg)
+        assert len(traj.states) == 2
+        assert len(fft_calls) == 8 * steps + 2
+
     def test_nan_aborts_with_time(self):
         g = make_grid(20, 128)
         u0 = Field(g, 1e200 * np.exp(-(g.x**2)))
@@ -229,6 +270,15 @@ class TestChristoffelAt:
             christoffel_at(identity(g), v, params).values,
             christoffel_id(v, v, params).values,
         )
+
+    def test_transforms_at_identity(self, fft_calls):
+        # 7 stacked transforms set up the solve; the exact cold start's
+        # true residual check takes one inverse and one forward more
+        g = make_grid(20, 256)
+        phi, v = identity(g), gaussian_field(g)
+        fft_calls.clear()
+        christoffel_at(phi, v, BParams(b=2.0, s=S))
+        assert len(fft_calls) == 9
 
     def test_zero_velocity(self):
         g = make_grid(20, 128)
