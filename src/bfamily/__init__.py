@@ -26,7 +26,6 @@ from .dynamics import (
     dexp,
     eulerian_from_lagrangian,
     exp_map,
-    flow_from_velocity,
     rhs_eulerian,
     solve_eulerian,
     solve_geodesic,
@@ -46,12 +45,9 @@ from .spectral import (
     Field,
     Grid,
     derivative,
-    helmholtz_inverse,
     homogeneous_hs_norm,
     hs_norm,
     make_grid,
-    multiply,
-    slobodeckij_seminorm,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -115,7 +115,7 @@ def run_solve(cfg: RunConfig, out: Path, formulation: str) -> int:
 def run_conserve(cfg: RunConfig, out: Path, tol: float) -> int:
     u0, params, solver = _setup(cfg, out)
     traj = solve_geodesic(u0, params, solver)
-    report = conservation_residual(traj, params, relative=True)
+    report = conservation_residual(traj, params)
     write_conservation_csv(out / "report.csv", report)
     ok = traj.termination == COMPLETED and report.max_residual <= tol
     manifest = _base_manifest(

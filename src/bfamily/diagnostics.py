@@ -23,7 +23,6 @@ class ConservationReport:
     times: np.ndarray
     residual_s_minus_2: np.ndarray
     residual_sup: np.ndarray
-    relative: bool
 
     def __post_init__(self):
         n = len(self.times)
@@ -40,11 +39,10 @@ def momentum(u: Field) -> Field:
     return u - derivative(u, 2)
 
 
-def conservation_residual(
-    traj: Trajectory, params: BParams, relative: bool = True
-) -> ConservationReport:
+def conservation_residual(traj: Trajectory, params: BParams) -> ConservationReport:
     """Deviation of (y o phi) phi_x^b from its initial value per snapshot.
 
+    Both residuals are relative to q(0)'s norms, or absolute when q(0) = 0.
     The t = 0 entry vanishes identically (it is compared against itself).
     """
     if not traj.states or isinstance(traj.states[0], Field):
@@ -58,14 +56,12 @@ def conservation_residual(
         diff = q - q0
         r_n = hs_norm(diff, params.s - 2)
         r_s = float(np.max(np.abs(diff.values)))
-        if relative and norm0 > 0.0:
+        if norm0 > 0.0:
             r_n /= norm0
             r_s /= sup0
         res_norm.append(r_n)
         res_sup.append(r_s)
-    return ConservationReport(
-        traj.times.copy(), np.array(res_norm), np.array(res_sup), relative
-    )
+    return ConservationReport(traj.times.copy(), np.array(res_norm), np.array(res_sup))
 
 
 def pushforward_reconstruct(y0: Field, phi: Diffeomorphism, b: float) -> Field:

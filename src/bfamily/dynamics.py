@@ -19,8 +19,8 @@ raises SolverError if N iterations do not reach it.  The symmetric form at
 the identity is the polarization of Gamma_id(v, v).  As y o phi = A_phi phi_t,
 the transported momentum (y o phi) phi_x^b is phi_x^(b-1) S phi_t: no inversion.
 
-Every RK4 step, flow_from_velocity's too, is one _rk4_step; _march owns
-the solvers' step schedule, finiteness check and snapshot cadence.
+Every RK4 step is one _rk4_step; _march owns the solvers' step schedule,
+finiteness check and snapshot cadence.
 """
 
 from __future__ import annotations
@@ -30,13 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffeo import (
-    Diffeomorphism,
-    compose_field,
-    evaluate_field,
-    identity,
-    invert,
-)
+from .diffeo import Diffeomorphism, compose_field, identity, invert
 from .errors import (
     ExpDomainError,
     GridError,
@@ -366,36 +360,6 @@ def dexp(
     return Field(
         u0.grid,
         (plus.displacement.values - minus.displacement.values) / (2.0 * eps),
-    )
-
-
-def flow_from_velocity(traj: Trajectory) -> Trajectory:
-    """Integrate phi_t = u(t) o phi along a stored Eulerian trajectory.
-
-    One RK4 step per snapshot interval with u interpolated linearly in time,
-    so the trajectory must be stored with stride 1.
-    """
-    if traj.config.snapshot_stride != 1:
-        raise ValueError("flow reconstruction needs snapshot_stride = 1")
-    if not traj.states or not isinstance(traj.states[0], Field):
-        raise TypeError("flow reconstruction expects an Eulerian trajectory")
-    grid = traj.states[0].grid
-    x = grid.x
-    disp = np.zeros(grid.n_points)
-    out_states = [SprayState(identity(grid), traj.states[0])]
-    for k in range(len(traj.times) - 1):
-        dt = float(traj.times[k + 1] - traj.times[k])
-        u_a = traj.states[k]
-        u_b = traj.states[k + 1]
-        u_mid = Field(grid, 0.5 * (u_a.values + u_b.values))
-        u_at = {0.0: u_a, 0.5: u_mid, 1.0: u_b}
-        disp = _rk4_step(lambda d, c: evaluate_field(u_at[c], x + d), disp, dt)
-        phi = Diffeomorphism(grid, Field(grid, disp))  # raises on phi_x <= 0
-        out_states.append(
-            SprayState(phi, Field(grid, evaluate_field(u_b, x + disp)))
-        )
-    return Trajectory(
-        traj.params, traj.config, traj.times.copy(), out_states, traj.termination
     )
 
 

@@ -42,6 +42,8 @@ def _read_two_column(path, header):
     lines = Path(path).read_text().strip().split("\n")
     if not lines or lines[0] != header:
         raise ConfigError(f"{path}: expected header '{header}'")
+    if len(lines) == 1:
+        raise ConfigError(f"{path}: no data rows")
     x, values = [], []
     for line in lines[1:]:
         a, b = line.split(",")
@@ -70,12 +72,11 @@ def read_diffeo_csv(path) -> Diffeomorphism:
 
 
 def write_conservation_csv(path, report: ConservationReport):
-    flag = "1" if report.relative else "0"
     lines = ["t,res_hs2,res_sup,relative"]
     for t, rn, rs in zip(
         report.times, report.residual_s_minus_2, report.residual_sup
     ):
-        lines.append(f"{_fmt(t)},{_fmt(rn)},{_fmt(rs)},{flag}")
+        lines.append(f"{_fmt(t)},{_fmt(rn)},{_fmt(rs)},1")  # residuals are relative
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -161,23 +161,6 @@ def derivative(f: Field, k: int) -> Field:
     return Field(g, g.irfft(symbol * g.rfft(f.values)))
 
 
-def helmholtz_inverse(f: Field) -> Field:
-    """Invert 1 - d^2/dx^2 via the Fourier multiplier 1/(1 + xi^2)."""
-    g = f.grid
-    return Field(g, g.irfft(g.helmholtz * g.rfft(f.values)))
-
-
-def multiply(f: Field, g: Field, dealias: bool = False) -> Field:
-    """Pointwise product; with dealias, 2/3-truncate both inputs and the result."""
-    f._check_same_grid(g)
-    if not dealias:
-        return Field(f.grid, f.values * g.values)
-    grid = f.grid
-    ft = grid.truncated(grid.rfft(f.values))
-    gt = grid.truncated(grid.rfft(g.values))
-    return Field(grid, grid.irfft(grid.product(ft, gt)))
-
-
 def hs_norm(f: Field, s: float) -> float:
     """Sobolev H^s norm: sqrt(sum (1+xi^2)^s |c_k|^2); s = 0 is the L^2 norm."""
     return f.grid.norm(f.grid.rfft(f.values), s)
@@ -196,37 +179,3 @@ def support_indices(values: np.ndarray) -> np.ndarray:
     if peak == 0.0:
         return np.array([], dtype=int)
     return np.nonzero(np.abs(values) > SUPPORT_RTOL * peak)[0]
-
-
-def slobodeckij_seminorm(f: Field, lam: float, block: int = 256) -> float:
-    """Double-quadrature Slobodeckij seminorm, an FFT-free oracle.
-
-    Midpoint rule over all N x N pairs of grid points with the periodic
-    distance, diagonal excluded.  For compactly supported f this is
-    equivalent (up to a lambda-dependent constant) to the homogeneous
-    H^lambda seminorm.  O(N^2); intended for verification, not hot paths.
-    """
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    L = f.grid.half_length
-    x = f.grid.x
-    peak = float(np.max(np.abs(f.values)))
-    if np.max(f.values) - np.min(f.values) <= SUPPORT_RTOL * max(1.0, peak):
-        return 0.0  # constants carry no variation
-    supp = support_indices(f.values)
-    if np.min(x[supp]) < -0.75 * L or np.max(x[supp]) > 0.75 * L:
-        raise ValueError("support must stay at least L/4 from the boundary")
-    v = f.values
-    n = f.grid.n_points
-    total = 0.0
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        d = np.abs(x[start:stop, None] - x[None, :])
-        d = np.minimum(d, 2.0 * L - d)
-        diff2 = (v[start:stop, None] - v[None, :]) ** 2
-        w = np.zeros_like(d)
-        off_diag = d > 0.0
-        w[off_diag] = d[off_diag] ** (-(1.0 + 2.0 * lam))
-        total += float(np.sum(diff2 * w))
-    h = f.grid.spacing
-    return float(np.sqrt(h * h * total))

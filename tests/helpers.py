@@ -1,8 +1,14 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers and reference oracles for the test suite."""
 
 import hashlib
 import json
 from pathlib import Path
+
+import numpy as np
+
+from bfamily.diffeo import Diffeomorphism, evaluate_field, identity
+from bfamily.dynamics import SprayState, Trajectory
+from bfamily.spectral import SUPPORT_RTOL, Field, support_indices
 
 GOLDEN = Path(__file__).parent / "golden" / "solve_hashes.json"
 
@@ -40,3 +46,65 @@ def check_golden(key: str, digest: str):
     stored = json.loads(GOLDEN.read_text())
     assert key in stored, f"no golden hash stored for '{key}'"
     assert stored[key] == digest, f"golden hash changed for '{key}': {digest}"
+
+
+def helmholtz_inverse(f: Field) -> Field:
+    """(1 - d^2/dx^2)^{-1} f through the grid's multiplier 1/(1 + xi^2)."""
+    g = f.grid
+    return Field(g, g.irfft(g.helmholtz * g.rfft(f.values)))
+
+
+def dealiased_product(f: Field, h: Field) -> Field:
+    """f h with both factors and the product 2/3-truncated, by the grid kernel."""
+    g = f.grid
+    ft, ht = g.truncated(g.rfft(f.values)), g.truncated(g.rfft(h.values))
+    return Field(g, g.irfft(g.product(ft, ht)))
+
+
+def slobodeckij_seminorm(f: Field, lam: float) -> float:
+    """Double-quadrature Slobodeckij seminorm, an FFT-free oracle.
+
+    Midpoint rule over all N x N pairs of grid points with the periodic
+    distance, diagonal excluded.  For compactly supported f this is
+    equivalent (up to a lambda-dependent constant) to the homogeneous
+    H^lambda seminorm.  O(N^2), in blocks of 256 rows.
+    """
+    assert 0.0 < lam < 1.0, f"lambda must lie in (0, 1), got {lam}"
+    L = f.grid.half_length
+    x, v = f.grid.x, f.values
+    if np.ptp(v) <= SUPPORT_RTOL * max(1.0, np.max(np.abs(v))):
+        return 0.0  # constants carry no variation
+    supp = support_indices(v)
+    assert np.max(np.abs(x[supp])) <= 0.75 * L, "support within L/4 of the boundary"
+    total = 0.0
+    for start in range(0, f.grid.n_points, 256):
+        d = np.abs(x[start : start + 256, None] - x[None, :])
+        d = np.minimum(d, 2.0 * L - d)
+        diff2 = (v[start : start + 256, None] - v[None, :]) ** 2
+        w = np.where(d > 0.0, d, np.inf) ** (-(1.0 + 2.0 * lam))  # diagonal: 0
+        total += float(np.sum(diff2 * w))
+    return float(np.sqrt(f.grid.spacing**2 * total))
+
+
+def flow_from_velocity(traj: Trajectory) -> Trajectory:
+    """Integrate phi_t = u(t) o phi along a stored Eulerian trajectory.
+
+    One RK4 step per snapshot interval with u interpolated linearly in time,
+    so the trajectory must be stored with stride 1.
+    """
+    assert traj.config.snapshot_stride == 1, "flow reconstruction needs stride 1"
+    grid = traj.states[0].grid
+    disp = np.zeros(grid.n_points)
+    states = [SprayState(identity(grid), traj.states[0])]
+    for k in range(len(traj.times) - 1):
+        dt = float(traj.times[k + 1] - traj.times[k])
+        u_a, u_b = traj.states[k], traj.states[k + 1]
+        u_mid = Field(grid, 0.5 * (u_a.values + u_b.values))
+        k1 = evaluate_field(u_a, grid.x + disp)
+        k2 = evaluate_field(u_mid, grid.x + (disp + 0.5 * dt * k1))
+        k3 = evaluate_field(u_mid, grid.x + (disp + 0.5 * dt * k2))
+        k4 = evaluate_field(u_b, grid.x + (disp + dt * k3))
+        disp = disp + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        phi = Diffeomorphism(grid, Field(grid, disp))  # raises on phi_x <= 0
+        states.append(SprayState(phi, Field(grid, evaluate_field(u_b, grid.x + disp))))
+    return Trajectory(traj.params, traj.config, traj.times, states, traj.termination)

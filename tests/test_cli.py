@@ -177,6 +177,7 @@ class TestConserve:
         report = (out / "report.csv").read_text().strip().split("\n")
         assert report[0] == "t,res_hs2,res_sup,relative"
         assert all(line.split(",")[1] == "0" for line in report[1:])
+        assert all(line.endswith(",1") for line in report[1:])
 
     def test_gaussian_passes_default_tolerance(self, tmp_path):
         text = FAST_SOLVE.replace("grid.N = 64", "grid.N = 256").replace(
@@ -404,10 +405,23 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_config_error_without_output(tmp_path, case):
+    command, text = BAD_INPUTS[case]
+    assert_config_error_without_output(tmp_path, command, text)
+
+
+def test_header_only_field_csv_is_config_error(tmp_path):
+    field = tmp_path / "field.csv"
+    field.write_text("x,value\n")
+    kept = [line for line in FAST_SOLVE.splitlines() if not line.startswith("initial.")]
+    text = "\n".join(kept + ["initial.family = file", f"initial.path = {field}"])
+    err = assert_config_error_without_output(tmp_path, "solve", text)
+    assert err.rstrip().endswith("no data rows")
+
+
+def assert_config_error_without_output(tmp_path, command, text):
     # a fresh interpreter, so an uncaught exception would show as a traceback
     import bfamily
 
-    command, text = BAD_INPUTS[case]
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     env = {**os.environ, "PYTHONPATH": str(Path(bfamily.__file__).parents[1])}
@@ -422,3 +436,4 @@ def test_bad_input_is_config_error_without_output(tmp_path, case):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
     assert not out.exists()
+    return proc.stderr

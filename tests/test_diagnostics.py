@@ -3,6 +3,7 @@ disjoint-support inequality."""
 
 import numpy as np
 import pytest
+from helpers import helmholtz_inverse
 
 from bfamily.diagnostics import (
     conservation_residual,
@@ -20,7 +21,7 @@ from bfamily.dynamics import (
     solve_geodesic,
     transported_momentum,
 )
-from bfamily.spectral import Field, helmholtz_inverse, hs_norm, make_grid
+from bfamily.spectral import Field, hs_norm, make_grid
 
 S = 2.0
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import dealiased_product, flow_from_velocity, helmholtz_inverse
 
 from bfamily.diffeo import from_displacement, identity
 from bfamily.dynamics import (
@@ -17,20 +18,12 @@ from bfamily.dynamics import (
     dexp,
     eulerian_from_lagrangian,
     exp_map,
-    flow_from_velocity,
     rhs_eulerian,
     solve_eulerian,
     solve_geodesic,
 )
 from bfamily.errors import ExpDomainError, SolverError
-from bfamily.spectral import (
-    Field,
-    derivative,
-    helmholtz_inverse,
-    hs_norm,
-    make_grid,
-    multiply,
-)
+from bfamily.spectral import Field, derivative, hs_norm, make_grid
 
 S = 2.0
 
@@ -96,11 +89,11 @@ class TestRhsEulerian:
         b = 2.0
         u = Field.from_function(g, np.cos)
         got = rhs_eulerian(u, BParams(b=b, s=S))
-        u2 = multiply(u, u, dealias=True)
+        u2 = dealiased_product(u, u)
         ux = derivative(u, 1)
-        ux2 = multiply(ux, ux, dealias=True)
+        ux2 = dealiased_product(ux, ux)
         flux = Field(g, u2.values + 0.5 * ux2.values)
-        uux = multiply(u, ux, dealias=True)
+        uux = dealiased_product(u, ux)
         want = -uux.values - helmholtz_inverse(derivative(flux, 1)).values
         assert np.max(np.abs(got.values - want)) < 1e-10
 
@@ -226,9 +219,7 @@ class TestChristoffelId:
         rng = np.random.RandomState(0)
         v = Field(g, np.exp(-((g.x - 1) ** 2)) + 0.3 * rng.randn() * 0)
         got = christoffel_id(v, v, BParams(b=3.0, s=S))
-        want = helmholtz_inverse(
-            -3.0 * multiply(v, derivative(v, 1), dealias=True)
-        )
+        want = helmholtz_inverse(-3.0 * dealiased_product(v, derivative(v, 1)))
         assert np.max(np.abs(got.values - want.values)) < 1e-13
 
     def test_bilinear_symmetry(self):
@@ -249,10 +240,7 @@ class TestChristoffelId:
         w = Field(g, np.sin(np.pi * 3 * g.x / g.half_length) * np.exp(-(g.x**2) / 8))
         vx, vxx = derivative(v, 1), derivative(v, 2)
         wx, wxx = derivative(w, 1), derivative(w, 2)
-
-        def prod(f, h):
-            return multiply(f, h, dealias=True)
-
+        prod = dealiased_product
         want = helmholtz_inverse(
             (-b / 2.0) * (prod(v, wx) + prod(w, vx))
             + ((b - 3.0) / 2.0) * (prod(vx, wxx) + prod(wx, vxx))
@@ -494,16 +482,6 @@ class TestFlowFromVelocity:
             )
         )
         assert gap <= 1e-5
-
-    def test_requires_stride_one(self):
-        g = make_grid(20, 64)
-        traj = solve_eulerian(
-            Field.zeros(g),
-            BParams(b=2.0, s=S),
-            SolverConfig(dt=0.05, T=0.2, snapshot_stride=2),
-        )
-        with pytest.raises(ValueError):
-            flow_from_velocity(traj)
 
 
 class TestEulerianFromLagrangian:
