@@ -9,8 +9,8 @@ platform, and every manifest embeds the config hash.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -23,7 +23,7 @@ from .errors import (
     DegenerateProbeError,
     ExpDomainError,
 )
-from .experiments import nonuniformity_experiment, scaling_check
+from .experiments import nonuniformity_experiment, parallel_map, scaling_check
 from .io import (
     write_conservation_csv,
     write_diffeo_csv,
@@ -239,43 +239,34 @@ def run_sweep(cfg: RunConfig, out: Path, jobs: int, formulation: str, tol) -> in
         raise ConfigError(f"two sweep.b values share the cell name '{clash[0]}'")
     out.mkdir(parents=True, exist_ok=True)
 
-    index = []
-    pending = []
-    for name, b, n, cell_cfg in cells:
-        cell_dir = out / name
-        if (cell_dir / "manifest.json").exists():
-            index.append(
-                {"cell": name, "b": float(b), "N": int(n), "skipped": True, "exit_code": 0}
-            )
-            continue
-        pending.append((name, b, n, (cell_cfg, str(cell_dir), formulation, tol)))
-
-    results = {}
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            codes = list(pool.map(_run_cell, [p[3] for p in pending]))
-        for (name, _, _, _), code in zip(pending, codes):
-            results[name] = code
-    else:
-        for name, _, _, payload in pending:
-            results[name] = _run_cell(payload)
-
-    for name, b, n, _ in pending:
-        index.append(
-            {
-                "cell": name,
-                "b": float(b),
-                "N": int(n),
-                "skipped": False,
-                "exit_code": results[name],
-            }
-        )
-    index.sort(key=lambda row: row["cell"])
+    # a cell whose manifest exists finished in an earlier run and is skipped
+    pending = [c for c in cells if not (out / c[0] / "manifest.json").exists()]
+    payloads = [(c[3], str(out / c[0]), formulation, tol) for c in pending]
+    codes = dict(zip([c[0] for c in pending], parallel_map(_run_cell, payloads, jobs)))
+    index = [
+        {"cell": name, "b": float(b), "N": int(n), "skipped": name not in codes,
+         "exit_code": codes.get(name, EXIT_OK)}
+        for name, b, n, _ in sorted(cells, key=lambda cell: cell[0])
+    ]
     write_json(
         out / "index.json",
         {"command": wrapped, "config_hash": cfg.config_hash(), "cells": index},
     )
     return max((row["exit_code"] for row in index), default=EXIT_OK)
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got '{text}'")
+    return value
+
+
+def _jobs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got '{text}'")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -294,26 +285,26 @@ def build_parser() -> _Parser:
 
     p_cons = sub.add_parser("conserve", help="momentum-transport residual check")
     common(p_cons)
-    p_cons.add_argument("--tol", type=float, default=CONSERVE_TOL)
+    p_cons.add_argument("--tol", type=_tolerance, default=CONSERVE_TOL)
 
     p_non = sub.add_parser("nonuniform", help="shrinking-bump separation experiment")
     common(p_non)
-    p_non.add_argument("--jobs", type=int, default=1)
+    p_non.add_argument("--jobs", type=_jobs, default=1)
 
     p_exp = sub.add_parser("exp", help="evaluate the exponential map at T = 1")
     common(p_exp)
 
     p_scale = sub.add_parser("scalecheck", help="time-amplitude scaling residual")
     common(p_scale)
-    p_scale.add_argument("--tol", type=float, default=None)
+    p_scale.add_argument("--tol", type=_tolerance, default=None)
 
     p_sweep = sub.add_parser("sweep", help="cartesian parameter sweep")
     common(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=_jobs, default=1)
     p_sweep.add_argument(
         "--formulation", choices=("eulerian", "lagrangian"), default="eulerian"
     )
-    p_sweep.add_argument("--tol", type=float, default=None)
+    p_sweep.add_argument("--tol", type=_tolerance, default=None)
     return parser
 
 

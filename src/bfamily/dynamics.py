@@ -8,16 +8,17 @@ u_xx) and one batched forward transform (both products).
 
 Lagrangian: RK4 on the first-order geodesic system
     (phi, phi_t)' = (phi_t, Gamma_phi(phi_t, phi_t)),
-one array with rows (displacement, phi_t).  Gamma_phi is evaluated without
-inverting phi: the conjugated derivatives give the bilinear term B in flow
-coordinates, and the conjugated Helmholtz system
-A_phi g = g - (1/phi_x) D (1/phi_x) D g = B is solved in its self-adjoint
-form S g = phi_x g - D(g_x / phi_x) = phi_x B by conjugate gradients
-preconditioned with the flat Helmholtz inverse.  The solve stops at
-relative residual CHRISTOFFEL_RTOL, checked on the true residual, and
-raises SolverError if N iterations do not reach it.  The symmetric form at
-the identity is the polarization of Gamma_id(v, v).  As y o phi = A_phi phi_t,
-the transported momentum (y o phi) phi_x^b is phi_x^(b-1) S phi_t: no inversion.
+the state being the half spectra of (displacement, phi_t).  Gamma_phi is
+evaluated without inverting phi: the conjugated derivatives give the
+bilinear term B in flow coordinates, and A_phi g = g - (1/phi_x) D (1/phi_x) D g
+= B is solved in its self-adjoint form S g = phi_x g - D(g_x / phi_x) = phi_x B
+by conjugate gradients preconditioned with the flat Helmholtz inverse; the
+right-hand side phi_x B and the start's S g0 share one batched inverse and
+one batched forward transform.  The solve stops at relative residual
+CHRISTOFFEL_RTOL, checked on the true residual, and raises SolverError if
+N iterations do not reach it.  The symmetric form at the identity is the
+polarization of Gamma_id(v, v).  As y o phi = A_phi phi_t, the transported
+momentum (y o phi) phi_x^b is phi_x^(b-1) S phi_t: no inversion.
 
 Every RK4 step is one _rk4_step; _march owns the solvers' step schedule,
 finiteness check and snapshot cadence.
@@ -140,62 +141,61 @@ def christoffel_id(v: Field, w: Field, params: BParams) -> Field:
     """
     v._check_same_grid(w)
     grid, b = v.grid, params.b
-    zero = np.zeros(grid.n_points)
-    plus = _christoffel_at_arr(grid, b, zero, v.values + w.values)
-    minus = _christoffel_at_arr(grid, b, zero, v.values - w.values)
-    return Field(grid, (plus - minus) / 4.0)
+    sums = grid.rfft(np.array([v.values + w.values, v.values - w.values]))
+    zero = np.zeros_like(sums[0])
+    plus = _christoffel_at_arr(grid, b, zero, sums[0])
+    minus = _christoffel_at_arr(grid, b, zero, sums[1])
+    return Field(grid, grid.irfft((plus - minus) / 4.0))
 
 
 def _self_adjoint_form(grid: Grid, phi_x: np.ndarray):
-    """apply_s(spec) -> (samples of g, spectrum of S g), g given by its spectrum.
+    """apply_s(spec, *rest) -> (spectrum of S g, spectrum of phi_x f per f in rest).
 
-    S g = phi_x g - D(g_x / phi_x) = phi_x A_phi g takes g, g_x in one batched
-    inverse transform and phi_x g, g_x / phi_x in one batched forward one.
+    g and each f are given by their spectra.  S g = phi_x g - D(g_x / phi_x)
+    = phi_x A_phi g takes g, g_x (and f) in one batched inverse transform
+    and phi_x g, g_x / phi_x (and phi_x f) in one batched forward one.
     """
-    by_phi_x = np.stack([phi_x, 1.0 / phi_x])
+    by_phi_x = np.array([phi_x, 1.0 / phi_x, phi_x])
 
-    def apply_s(spec):
-        samples = grid.irfft(grid.jet[:2] * spec)  # rows g, g_x
-        terms = grid.rfft(by_phi_x * samples)
-        return samples[0], terms[0] - grid.d1 * terms[1]
+    def apply_s(spec, *rest):
+        samples = grid.irfft(np.array([spec, grid.d1 * spec, *rest]))
+        terms = grid.rfft(by_phi_x[: len(samples)] * samples)
+        return (terms[0] - grid.d1 * terms[1], *terms[2:])
 
     return apply_s
 
 
 def _solve_conjugated_helmholtz(grid: Grid, phi_x: np.ndarray, bil, initial):
-    """Samples of the solution of A_phi g = B, B given by its spectrum bil.
+    """Spectrum of the solution of A_phi g = B, B given by its spectrum bil.
 
     Preconditioned CG on S g = phi_x B (_self_adjoint_form).  D zeroes the
     Nyquist mode, so it is skew-adjoint and S is symmetric positive definite
     in the Parseval inner product; the flat Helmholtz inverse preconditions
-    it.  The start is initial (samples, e.g. the previous stage's value) or
-    else the flat Helmholtz inverse of B, exact at phi = id.  Only the true
-    residual (not the recurrence's) is accepted, and CG's exact-arithmetic
-    bound of N iterations caps the solve.
+    it.  The start is initial (a spectrum, e.g. the previous stage's value)
+    or else the flat Helmholtz inverse of B, exact at phi = id; its S g0
+    comes with the right-hand side phi_x B from the same two transforms.
+    Only the true residual (not the recurrence's) is accepted, and CG's
+    exact-arithmetic bound of N iterations caps the solve.
     """
     apply_s = _self_adjoint_form(grid, phi_x)
-    rhs = grid.rfft(phi_x * grid.irfft(bil))
 
     def inner(p, q):
-        return float(np.real(np.vdot(p, grid.weights * q)))
+        return np.vdot(p, grid.weights * q).real
 
-    def true_residual(g):
-        samples, sg = apply_s(g)
-        return samples, rhs - sg
-
+    g = grid.helmholtz * bil if initial is None else initial
+    sg, rhs = apply_s(g, bil)
     # squared norms: inner(r, r) is grid.norm(r)**2
     target = CHRISTOFFEL_RTOL**2 * inner(rhs, rhs)
-    g = grid.helmholtz * bil if initial is None else grid.rfft(initial)
-    samples, r = true_residual(g)
+    r = rhs - sg
     rr = inner(r, r)
     p = rz = None
     for _ in range(grid.n_points):
         if rr <= target:  # only a true residual passes
-            return samples
+            return g
         z = grid.helmholtz * r
         rz, rz_prev = inner(r, z), rz
         p = z if p is None else z + (rz / rz_prev) * p
-        sp = apply_s(p)[1]
+        (sp,) = apply_s(p)
         curvature = inner(p, sp)
         if not (rz > 0.0 and curvature > 0.0):
             break  # r or p underflowed (or went NaN): CG cannot go on
@@ -203,11 +203,11 @@ def _solve_conjugated_helmholtz(grid: Grid, phi_x: np.ndarray, bil, initial):
         g = g + alpha * p
         r = r - alpha * sp
         if (rr := inner(r, r)) <= target:
-            samples, r = true_residual(g)
+            r = rhs - apply_s(g)[0]
             rr = inner(r, r)
-    samples, r = true_residual(g)
+    r = rhs - apply_s(g)[0]
     if inner(r, r) <= target:
-        return samples
+        return g
     raise SolverError(
         f"Christoffel solve did not converge within {grid.n_points} iterations "
         f"(min phi_x = {np.min(phi_x):.3e}, relative residual = "
@@ -222,15 +222,14 @@ def _christoffel_at_arr(
     v: np.ndarray,
     initial: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Gamma_phi(v, v) in flow coordinates, phi = id + disp.
+    """Spectrum of Gamma_phi(v, v) in flow coordinates, phi = id + disp.
 
-    B = -b v d1 + (b-3) d1 d2, d1 and d2 the conjugated first and second
-    derivatives of v, factors and products 2/3-truncated; every transform
-    stage is one stacked call.
+    disp, v and initial are half spectra.  B = -b v d1 + (b-3) d1 d2, d1 and
+    d2 the conjugated first and second derivatives of v, factors and
+    products 2/3-truncated; every transform stage is one stacked call.
     """
-    disp_spec, spec = grid.rfft(np.stack([disp, v]))
-    rows = np.vstack([grid.jet[1:] * disp_spec, grid.jet[1:] * spec, grid.keep * spec])
-    fx, fxx, vx, vxx, vt = grid.irfft(rows)
+    rows = [grid.d1 * disp, grid.d2 * disp, grid.d1 * v, grid.d2 * v, grid.keep * v]
+    fx, fxx, vx, vxx, vt = grid.irfft(np.array(rows))
     phi_x = 1.0 + fx
     if np.min(phi_x) <= 0.0:
         raise PositivityError(
@@ -238,8 +237,8 @@ def _christoffel_at_arr(
         )
     d1 = vx / phi_x
     d2 = vxx / phi_x**2 - vx * fxx / phi_x**3
-    d1t, d2t = grid.truncated(grid.rfft(np.stack([d1, d2])))
-    vd1, d1d2 = grid.product(np.stack([vt, d1t]), np.stack([d1t, d2t]))
+    d1t, d2t = grid.truncated(grid.rfft(np.array([d1, d2])))
+    vd1, d1d2 = grid.product(np.array([vt, d1t]), np.array([d1t, d2t]))
     bil = -b * vd1 + (b - 3.0) * d1d2
     if grid.norm(bil) == 0.0:
         return np.zeros_like(v)
@@ -254,8 +253,9 @@ def christoffel_at(phi: Diffeomorphism, v: Field, params: BParams) -> Field:
     """
     if phi.grid != v.grid:
         raise GridError("phi and v live on different grids")
-    out = _christoffel_at_arr(phi.grid, params.b, phi.displacement.values, v.values)
-    return Field(phi.grid, out)
+    grid = phi.grid
+    disp, spec = grid.rfft(np.array([phi.displacement.values, v.values]))
+    return Field(grid, grid.irfft(_christoffel_at_arr(grid, params.b, disp, spec)))
 
 
 def _rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
@@ -311,7 +311,7 @@ def solve_eulerian(u0: Field, params: BParams, config: SolverConfig) -> Trajecto
 
 
 def solve_geodesic(u0: Field, params: BParams, config: SolverConfig) -> Trajectory:
-    """RK4 on the geodesic system; terminates when phi_x drops below the guard."""
+    """RK4 on the spectra of (displacement, phi_t); stops at the phi_x guard."""
     grid = u0.grid
     times = [0.0]
     states = [SprayState(identity(grid), Field(grid, u0.values))]
@@ -321,16 +321,17 @@ def solve_geodesic(u0: Field, params: BParams, config: SolverConfig) -> Trajecto
     def rhs(y, _):
         nonlocal warm
         warm = _christoffel_at_arr(grid, params.b, y[0], y[1], warm)
-        return np.stack([y[1], warm])
+        return np.array([y[1], warm])
 
-    y0 = np.stack([np.zeros(grid.n_points), u0.values])
+    y0 = grid.rfft(np.array([np.zeros(grid.n_points), u0.values]))
     try:
         for t, y, due in _march(config, y0, rhs):
-            phi = Diffeomorphism(grid, Field(grid, y[0]))
-            blown = float(np.min(phi.phi_x)) < config.min_phix
+            blown = np.min(1.0 + grid.irfft(grid.d1 * y[0])) < config.min_phix
             if blown or due:
+                disp, phit = grid.irfft(y)
+                phi = Diffeomorphism(grid, Field(grid, disp))
+                states.append(SprayState(phi, Field(grid, phit)))
                 times.append(t)
-                states.append(SprayState(phi, Field(grid, y[1])))
             if blown:
                 termination = BLOWUP_PHIX
                 break
@@ -366,7 +367,7 @@ def dexp(
 def transported_momentum(state: SprayState, b: float) -> Field:
     """q = (y o phi) phi_x^b = phi_x^(b-1) S phi_t, without inverting phi."""
     grid, phi_x = state.phi.grid, state.phi.phi_x
-    s_phit = _self_adjoint_form(grid, phi_x)(grid.rfft(state.phit.values))[1]
+    s_phit = _self_adjoint_form(grid, phi_x)(grid.rfft(state.phit.values))[0]
     return Field(grid, phi_x ** (b - 1.0) * grid.irfft(s_phit))
 
 

@@ -201,6 +201,18 @@ def _resolved_row(payload) -> ExperimentRow:
     )
 
 
+def parallel_map(fn, items: list, jobs: int) -> list:
+    """[fn(x) for x in items], in min(jobs, len(items)) processes when that
+    exceeds 1: a pool starts all its workers at once."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor  # its import costs ~20 ms
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def nonuniformity_experiment(cfg: NonUniformityConfig, jobs: int = 1) -> ExperimentReport:
     """Run the shrinking-bump construction for every n in cfg.n_values.
 
@@ -233,15 +245,7 @@ def nonuniformity_experiment(cfg: NonUniformityConfig, jobs: int = 1) -> Experim
         else:
             payloads.append((cfg, n, r_n, x0_est, i0, L_est))
 
-    if jobs > 1 and len(payloads) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            computed = list(pool.map(_resolved_row, payloads))
-    else:
-        computed = [_resolved_row(p) for p in payloads]
-
-    by_n = {row.n: row for row in computed}
+    by_n = {row.n: row for row in parallel_map(_resolved_row, payloads, jobs)}
     by_n.update(flagged)
     rows = [by_n[n] for n in cfg.n_values]
     return ExperimentReport(rows, m_est, x0_est, L_est)

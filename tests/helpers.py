@@ -108,3 +108,28 @@ def flow_from_velocity(traj: Trajectory) -> Trajectory:
         phi = Diffeomorphism(grid, Field(grid, disp))  # raises on phi_x <= 0
         states.append(SprayState(phi, Field(grid, evaluate_field(u_b, grid.x + disp))))
     return Trajectory(traj.params, traj.config, traj.times, states, traj.termination)
+
+
+def record_pools(monkeypatch) -> list:
+    """Swap the package's process pool for an in-process map.
+
+    Returns the list that receives the max_workers of every pool started,
+    so a test can check pool sizes without starting a process.
+    """
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+    return sizes

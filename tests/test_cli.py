@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import FAST_SOLVE, check_golden, tree_digest
+from helpers import FAST_SOLVE, check_golden, record_pools, tree_digest
 
 from bfamily.cli import main
 from bfamily.io import read_diffeo_csv, read_experiment_rows, read_field_csv
@@ -363,6 +363,16 @@ class TestSweep:
         assert a == b
 
 
+@pytest.mark.parametrize("jobs, pool", [("64", [3]), ("2", [2]), ("1", [])])
+def test_sweep_pool_never_exceeds_its_cells(tmp_path, monkeypatch, jobs, pool):
+    sizes = record_pools(monkeypatch)
+    cfg = write_config(tmp_path, SWEEP_CFG)
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs) == 0
+    assert sizes == pool
+    assert len(json.loads((out / "index.json").read_text())["cells"]) == 3
+
+
 def _bump(center, radius, n):
     kept = [
         line
@@ -400,13 +410,21 @@ BAD_INPUTS = {
         "sweep",
         SWEEP_CFG.replace("sweep.b = 0,2,3", "sweep.b = 1.0000001,1.0000002"),
     ),
+    # command-line flags after the config text
+    "conserve-tol-nan": ("conserve", FAST_SOLVE, "--tol", "nan"),
+    "conserve-tol-negative": ("conserve", FAST_SOLVE, "--tol", "-1"),
+    "scalecheck-tol-nan": ("scalecheck", FAST_SOLVE, "--tol", "nan"),
+    "scalecheck-tol-inf": ("scalecheck", FAST_SOLVE, "--tol", "inf"),
+    "scalecheck-tol-negative": ("scalecheck", FAST_SOLVE, "--tol", "-1"),
+    "sweep-jobs-zero": ("sweep", SWEEP_CFG, "--jobs", "0"),
+    "nonuniform-jobs-negative": ("nonuniform", NONUNIFORM_CFG, "--jobs", "-2"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_config_error_without_output(tmp_path, case):
-    command, text = BAD_INPUTS[case]
-    assert_config_error_without_output(tmp_path, command, text)
+    command, text, *flags = BAD_INPUTS[case]
+    assert_config_error_without_output(tmp_path, command, text, *flags)
 
 
 def test_header_only_field_csv_is_config_error(tmp_path):
@@ -418,15 +436,16 @@ def test_header_only_field_csv_is_config_error(tmp_path):
     assert err.rstrip().endswith("no data rows")
 
 
-def assert_config_error_without_output(tmp_path, command, text):
+def assert_config_error_without_output(tmp_path, command, text, *flags):
     # a fresh interpreter, so an uncaught exception would show as a traceback
     import bfamily
 
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     env = {**os.environ, "PYTHONPATH": str(Path(bfamily.__file__).parents[1])}
+    argv = [command, "--config", str(cfg), "--out", str(out), *flags]
     proc = subprocess.run(
-        [sys.executable, "-m", "bfamily.cli", command, "--config", str(cfg), "--out", str(out)],
+        [sys.executable, "-m", "bfamily.cli", *argv],
         capture_output=True,
         text=True,
         env=env,

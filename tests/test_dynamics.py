@@ -22,7 +22,7 @@ from bfamily.dynamics import (
     solve_eulerian,
     solve_geodesic,
 )
-from bfamily.errors import ExpDomainError, SolverError
+from bfamily.errors import ExpDomainError, PositivityError, SolverError
 from bfamily.spectral import Field, derivative, hs_norm, make_grid
 
 S = 2.0
@@ -260,13 +260,14 @@ class TestChristoffelAt:
         )
 
     def test_transforms_at_identity(self, fft_calls):
-        # 7 stacked transforms set up the solve; the exact cold start's
-        # true residual check takes one inverse and one forward more
+        # one stacked forward transform in, 4 stacked transforms of setup,
+        # one inverse and one forward for the right-hand side fused with the
+        # exact cold start's true residual, one inverse out
         g = make_grid(20, 256)
         phi, v = identity(g), gaussian_field(g)
         fft_calls.clear()
         christoffel_at(phi, v, BParams(b=2.0, s=S))
-        assert len(fft_calls) == 9
+        assert len(fft_calls) == 8
 
     def test_zero_velocity(self):
         g = make_grid(20, 128)
@@ -368,6 +369,66 @@ class TestSolveGeodesic:
             u0, BParams(b=2.0, s=S), SolverConfig(dt=0.01, T=1.0, min_phix=0.999)
         )
         assert traj.termination == BLOWUP_PHIX
+
+    @pytest.mark.parametrize("min_phix", [0.5, 1e-300])
+    def test_blowup_keeps_times_and_states_aligned(self, min_phix):
+        # 0.5 ends at the guard, which stores the crossing step; 1e-300 ends
+        # inside a stage of a later step, which stores nothing
+        g = make_grid(20, 64)
+        cfg = SolverConfig(dt=0.01, T=3.0, snapshot_stride=7, min_phix=min_phix)
+        traj = solve_geodesic(gaussian_field(g, amp=4.0), BParams(b=2.0, s=S), cfg)
+        assert traj.termination == BLOWUP_PHIX
+        assert len(traj.times) == len(traj.states)
+        floors = [np.min(st.phi.phi_x) for st in traj.states]
+        assert min(floors[:-1]) >= min_phix
+        on_stride = round(traj.times[-1] / 0.07, 9).is_integer()
+        assert (floors[-1] < min_phix) == (not on_stride)
+
+    def test_rejected_snapshot_keeps_times_and_states_aligned(self, monkeypatch):
+        # a flow map that passes the guard but not Diffeomorphism's own check
+        # ends the run with the snapshots before it, none without its state
+        from bfamily.diffeo import Diffeomorphism
+
+        made = []
+
+        def fragile(grid, displacement):
+            made.append(1)
+            if len(made) == 3:
+                raise PositivityError("rejected snapshot")
+            return Diffeomorphism(grid, displacement)
+
+        monkeypatch.setattr("bfamily.dynamics.Diffeomorphism", fragile)
+        g = make_grid(20, 64)
+        cfg = SolverConfig(dt=0.01, T=0.1, snapshot_stride=2)
+        traj = solve_geodesic(gaussian_field(g), BParams(b=2.0, s=S), cfg)
+        assert traj.termination == BLOWUP_PHIX
+        assert traj.times.tolist() == [0.0, 0.02, 0.04]
+        assert len(traj.states) == 3
+
+    @pytest.mark.parametrize("b", [0.0, 2.0, 3.0])
+    def test_matches_sample_space_rk4(self, b):
+        # the half-spectrum march against RK4 on samples of the public
+        # christoffel_at (cold-started, so the solves agree to ~1e-14)
+        g = make_grid(20, 256)
+        params = BParams(b=b, s=S)
+        dt, steps = 0.01, 50
+
+        def rhs(disp, vel):
+            return vel, christoffel_at(from_displacement(disp), vel, params)
+
+        disp, vel = Field.zeros(g), gaussian_field(g)
+        for _ in range(steps):
+            a1, b1 = rhs(disp, vel)
+            a2, b2 = rhs(disp + (0.5 * dt) * a1, vel + (0.5 * dt) * b1)
+            a3, b3 = rhs(disp + (0.5 * dt) * a2, vel + (0.5 * dt) * b2)
+            a4, b4 = rhs(disp + dt * a3, vel + dt * b3)
+            disp = disp + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            vel = vel + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        cfg = SolverConfig(dt=dt, T=dt * steps, snapshot_stride=10**9)
+        got = solve_geodesic(gaussian_field(g), params, cfg).final_state
+        for ours, ref in ((got.phi.displacement, disp), (got.phit, vel)):
+            rel = np.max(np.abs(ours.values - ref.values)) / np.max(np.abs(ref.values))
+            assert rel <= 1e-13
 
 
 class TestExpMap:

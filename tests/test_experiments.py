@@ -1,7 +1,10 @@
 """Tests for the bump construction and the non-uniformity experiment."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from helpers import record_pools
 
 from bfamily.dynamics import BParams, SolverConfig
 from bfamily.errors import DegenerateProbeError, ExpDomainError, UnderResolvedError
@@ -213,3 +216,19 @@ class TestNonUniformityExperiment:
             assert again.m_est == report.m_est
             assert again.x0_est == report.x0_est
             assert again.L_est == report.L_est
+
+
+@pytest.mark.parametrize("jobs, pool", [(64, [3]), (2, [2]), (1, [])])
+def test_pool_never_exceeds_resolved_rows(monkeypatch, jobs, pool):
+    # geometry and rows are stubbed so that n = 1, 2, 4 all resolve: only
+    # the fan-out over the rows is under test
+    sizes = record_pools(monkeypatch)
+    monkeypatch.setattr(
+        "bfamily.experiments.estimate_probe_geometry", lambda cfg: (0.0, 100.0, 1.0)
+    )
+    monkeypatch.setattr(
+        "bfamily.experiments._resolved_row", lambda payload: SimpleNamespace(n=payload[1])
+    )
+    report = nonuniformity_experiment(small_experiment_config(), jobs=jobs)
+    assert sizes == pool
+    assert [row.n for row in report.rows] == [1, 2, 4]
