@@ -3,7 +3,8 @@
 Exit-code protocol: 0 success, 1 configuration error, 2 blow-up or other
 numerical termination, 3 acceptance-tolerance failure.  All artifacts are
 deterministic: identical configs produce identical bytes on the same
-platform, and every manifest embeds the config hash.
+platform.  Every command but sweep writes one manifest.json, and `_run` is
+its only writer, on the command line and in sweep cells alike.
 """
 
 from __future__ import annotations
@@ -45,21 +46,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _base_manifest(cfg: RunConfig, **extra) -> dict:
-    payload = {
-        "command": cfg.command,
-        "config": cfg.canonical_text(),
-        "config_hash": cfg.config_hash(),
-    }
-    payload.update(extra)
-    return payload
-
-
-def _effective(params, solver) -> dict:
-    """Structured record of what actually ran (dt may be auto-derived)."""
-    return {"params": asdict(params), "solver": asdict(solver)}
-
-
 def _write_eulerian_snapshots(out: Path, traj) -> list:
     entries = []
     for i, (t, state) in enumerate(zip(traj.times, traj.states)):
@@ -90,9 +76,13 @@ def _setup(cfg: RunConfig, out: Path):
     return u0, params, solver
 
 
-def run_solve(cfg: RunConfig, out: Path, formulation: str) -> int:
-    if formulation not in ("eulerian", "lagrangian"):
-        raise ConfigError(f"unknown formulation '{formulation}'")
+# Each runner takes (cfg, out, options), where options carries the parsed
+# flags (formulation, tol, jobs) of the command line or of a sweep cell, and
+# returns (exit code, params, solver, the command's manifest fields).
+
+
+def run_solve(cfg: RunConfig, out: Path, options):
+    formulation = options.formulation  # the parser's choices: eulerian, lagrangian
     u0, params, solver = _setup(cfg, out)
     if formulation == "eulerian":
         traj = solve_eulerian(u0, params, solver)
@@ -100,104 +90,94 @@ def run_solve(cfg: RunConfig, out: Path, formulation: str) -> int:
     else:
         traj = solve_geodesic(u0, params, solver)
         snapshots = _write_lagrangian_snapshots(out, traj)
-    manifest = _base_manifest(
-        cfg,
-        formulation=formulation,
-        termination=traj.termination,
-        times=[float(t) for t in traj.times],
-        snapshots=snapshots,
-        **_effective(params, solver),
-    )
-    write_json(out / "manifest.json", manifest)
-    return EXIT_OK if traj.termination == COMPLETED else EXIT_BLOWUP
+    fields = {
+        "formulation": formulation,
+        "termination": traj.termination,
+        "times": [float(t) for t in traj.times],
+        "snapshots": snapshots,
+    }
+    code = EXIT_OK if traj.termination == COMPLETED else EXIT_BLOWUP
+    return code, params, solver, fields
 
 
-def run_conserve(cfg: RunConfig, out: Path, tol: float) -> int:
+def run_conserve(cfg: RunConfig, out: Path, options):
     u0, params, solver = _setup(cfg, out)
     traj = solve_geodesic(u0, params, solver)
     report = conservation_residual(traj, params)
     write_conservation_csv(out / "report.csv", report)
-    ok = traj.termination == COMPLETED and report.max_residual <= tol
-    manifest = _base_manifest(
-        cfg,
-        termination=traj.termination,
-        tol=tol,
-        max_residual=report.max_residual,
-        passed=ok,
-        **_effective(params, solver),
-    )
-    write_json(out / "manifest.json", manifest)
+    ok = traj.termination == COMPLETED and report.max_residual <= options.tol
+    fields = {
+        "termination": traj.termination,
+        "tol": options.tol,
+        "max_residual": report.max_residual,
+        "passed": ok,
+    }
     if traj.termination != COMPLETED:
-        return EXIT_BLOWUP
-    return EXIT_OK if ok else EXIT_ACCEPTANCE
+        return EXIT_BLOWUP, params, solver, fields
+    return (EXIT_OK if ok else EXIT_ACCEPTANCE), params, solver, fields
 
 
-def run_nonuniform(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
+def run_nonuniform(cfg: RunConfig, out: Path, options):
     experiment = cfg.build_experiment(cfg.build_grid())
     out.mkdir(parents=True, exist_ok=True)
-    report = nonuniformity_experiment(experiment, jobs=jobs)
+    report = nonuniformity_experiment(experiment, jobs=options.jobs)
     write_experiment_csv(out / "report.csv", report)
     persistent = report.separation_persistence_ok()
-    manifest = _base_manifest(
-        cfg,
-        m_est=report.m_est,
-        x0_est=report.x0_est,
-        L_est=report.L_est,
-        resolved_n=[r.n for r in report.resolved_rows()],
-        separation_persistent=persistent,
-        **_effective(experiment.params, experiment.solver),
-    )
-    write_json(out / "manifest.json", manifest)
-    return EXIT_OK if persistent else EXIT_ACCEPTANCE
+    fields = {
+        "m_est": report.m_est,
+        "x0_est": report.x0_est,
+        "L_est": report.L_est,
+        "resolved_n": [r.n for r in report.resolved_rows()],
+        "separation_persistent": persistent,
+    }
+    code = EXIT_OK if persistent else EXIT_ACCEPTANCE
+    return code, experiment.params, experiment.solver, fields
 
 
-def run_exp(cfg: RunConfig, out: Path) -> int:
+def run_exp(cfg: RunConfig, out: Path, options):
     v, params, solver = _setup(cfg, out)
     traj = solve_geodesic(v, params, replace(solver, T=1.0))
+    fields = {"termination": traj.termination}
     if traj.termination != COMPLETED:
-        manifest = _base_manifest(
-            cfg, termination=traj.termination, **_effective(params, solver)
-        )
-        write_json(out / "manifest.json", manifest)
-        return EXIT_BLOWUP
-    phi = traj.final_state.phi
-    write_diffeo_csv(out / "phi.csv", phi)
-    manifest = _base_manifest(
-        cfg,
-        termination=traj.termination,
-        snapshot="phi.csv",
-        **_effective(params, solver),
-    )
-    write_json(out / "manifest.json", manifest)
-    return EXIT_OK
+        return EXIT_BLOWUP, params, solver, fields
+    write_diffeo_csv(out / "phi.csv", traj.final_state.phi)
+    return EXIT_OK, params, solver, {**fields, "snapshot": "phi.csv"}
 
 
-def run_scalecheck(cfg: RunConfig, out: Path, tol: float | None) -> int:
+def run_scalecheck(cfg: RunConfig, out: Path, options):
     u0, params, solver = _setup(cfg, out)
     lam = cfg["experiment.lambda"]
-    residual = scaling_check(u0, lam, cfg["solver.T"], params, solver)
-    manifest = _base_manifest(
-        cfg,
-        residual=residual,
-        scale=lam,
-        horizon=cfg["solver.T"],
-        **_effective(params, solver),
-    )
-    write_json(out / "manifest.json", manifest)
-    if tol is not None and residual > tol:
-        return EXIT_ACCEPTANCE
-    return EXIT_OK
+    residual = scaling_check(u0, lam, params, solver)
+    fields = {"residual": residual, "scale": lam, "horizon": cfg["solver.T"]}
+    if options.tol is not None and residual > options.tol:
+        return EXIT_ACCEPTANCE, params, solver, fields
+    return EXIT_OK, params, solver, fields
 
 
-# command -> runner(cfg, out, options); options carries the parsed flags
-# (formulation, tol, jobs) of the command line or of a sweep cell
 _RUNNERS = {
-    "solve": lambda cfg, out, opt: run_solve(cfg, out, opt.formulation),
-    "conserve": lambda cfg, out, opt: run_conserve(cfg, out, opt.tol),
-    "nonuniform": lambda cfg, out, opt: run_nonuniform(cfg, out, opt.jobs),
-    "exp": lambda cfg, out, opt: run_exp(cfg, out),
-    "scalecheck": lambda cfg, out, opt: run_scalecheck(cfg, out, opt.tol),
+    "solve": run_solve,
+    "conserve": run_conserve,
+    "nonuniform": run_nonuniform,
+    "exp": run_exp,
+    "scalecheck": run_scalecheck,
 }
+
+
+def _run(cfg: RunConfig, out: Path, options) -> int:
+    """Run cfg's command and write its manifest.json: the runner's fields
+    plus command, config, config_hash and the params and solver built from
+    the config (dt may be auto-derived)."""
+    code, params, solver, fields = _RUNNERS[cfg.command](cfg, out, options)
+    manifest = {
+        "command": cfg.command,
+        "config": cfg.canonical_text(),
+        "config_hash": cfg.config_hash(),
+        "params": asdict(params),
+        "solver": asdict(solver),
+        **fields,
+    }
+    write_json(out / "manifest.json", manifest)
+    return code
 
 
 def _exit_code(run, *args) -> int:
@@ -220,7 +200,7 @@ def _run_cell(payload) -> int:
     if cfg.command == "conserve" and tol is None:
         tol = CONSERVE_TOL
     options = argparse.Namespace(formulation=formulation, tol=tol, jobs=1)
-    return _exit_code(_RUNNERS[cfg.command], cfg, Path(out_dir), options)
+    return _exit_code(_run, cfg, Path(out_dir), options)
 
 
 def run_sweep(cfg: RunConfig, out: Path, jobs: int, formulation: str, tol) -> int:
@@ -318,7 +298,7 @@ def _main(argv) -> int:
     out = Path(args.out)
     if args.command == "sweep":
         return run_sweep(cfg, out, args.jobs, args.formulation, args.tol)
-    return _RUNNERS[args.command](cfg, out, args)
+    return _run(cfg, out, args)
 
 
 if __name__ == "__main__":

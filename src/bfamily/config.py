@@ -103,34 +103,29 @@ def parse_pairs(text: str):
 
 
 def _schema_for(command: str, pairs) -> dict:
+    """The keys of command's config; a sweep's are those of the command it
+    wraps plus the sweep.* keys."""
+    if command == "sweep":
+        wrapped = pairs.get("sweep.command", (None, 0))[0]
+        # a sweep of sweeps gets the keys every command takes; the CLI refuses it
+        inner = _schema_for(None if wrapped == "sweep" else wrapped, pairs)
+        return {**inner, **_SWEEP_KEYS}
     schema = dict(_COMMON_KEYS)
 
-    def add_family(prefix: str, required: bool):
-        schema[f"{prefix}.family"] = ("str", None if required else "gaussian")
-        raw = pairs.get(f"{prefix}.family", (None, 0))[0]
-        family = raw if raw is not None else "gaussian"
+    def add_family(prefix: str):
+        schema[f"{prefix}.family"] = ("str", "gaussian")
+        family, line = pairs.get(f"{prefix}.family", ("gaussian", 0))
         if family not in _FAMILY_KEYS:
-            line = pairs.get(f"{prefix}.family", ("", 0))[1]
-            raise ConfigError(
-                f"line {line}: unknown initial-data family '{family}'"
-            )
+            raise ConfigError(f"line {line}: unknown initial-data family '{family}'")
         for name, spec in _FAMILY_KEYS[family].items():
             schema[f"{prefix}.{name}"] = spec
 
-    add_family("initial", required=False)
+    add_family("initial")
     if command == "nonuniform":
-        add_family("probe", required=False)
+        add_family("probe")
         schema.update(_EXPERIMENT_KEYS)
     elif command == "scalecheck":
         schema.update(_SCALECHECK_KEYS)
-    elif command == "sweep":
-        schema.update(_SWEEP_KEYS)
-        wrapped = pairs.get("sweep.command", (None, 0))[0]
-        if wrapped == "nonuniform":
-            add_family("probe", required=False)
-            schema.update(_EXPERIMENT_KEYS)
-        elif wrapped == "scalecheck":
-            schema.update(_SCALECHECK_KEYS)
     return schema
 
 

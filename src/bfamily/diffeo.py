@@ -133,9 +133,7 @@ def invert(phi: Diffeomorphism) -> Diffeomorphism:
     steps = np.diff(samples)
     if np.min(steps) <= 0.0:
         worst = int(np.argmin(steps))
-        raise InversionError(
-            f"phi is not increasing on the grid samples at index {worst}", index=worst
-        )
+        raise InversionError(f"phi is not increasing on the grid samples at index {worst}")
     wraps = period * np.floor((x - samples[0]) / period)
     # x - wraps can round just outside [samples[0], samples[n]]; clip to a cell
     cell = np.clip(np.searchsorted(samples, x - wraps, side="right") - 1, 0, n - 1)
@@ -158,9 +156,7 @@ def invert(phi: Diffeomorphism) -> Diffeomorphism:
             break
     if not np.all(converged):
         worst = int(np.argmax(np.abs(y + evaluate_field(disp, y) - x)))
-        raise InversionError(
-            f"Newton failed to reach {_TOL:.1e} at grid index {worst}", index=worst
-        )
+        raise InversionError(f"Newton failed to reach {_TOL:.1e} at grid index {worst}")
     inverse = Field(grid, y - x)
     try:
         return Diffeomorphism(grid, inverse)
@@ -168,6 +164,5 @@ def invert(phi: Diffeomorphism) -> Diffeomorphism:
         inv_x = 1.0 + derivative(inverse, 1).values
         raise InversionError(
             "the inverse is not resolved on the grid: min of its spectral "
-            f"derivative is {np.min(inv_x):.3e}",
-            index=int(np.argmin(inv_x)),
+            f"derivative is {np.min(inv_x):.3e}"
         ) from None

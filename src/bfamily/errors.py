@@ -18,14 +18,8 @@ class PositivityError(BFamilyError):
 
 
 class InversionError(BFamilyError):
-    """Monotone inversion failed: samples not increasing or Newton unconverged.
-
-    Carries the grid index where the inversion gave up.
-    """
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    """Monotone inversion failed: samples not increasing, Newton unconverged,
+    or the inverse not resolved on the grid."""
 
 
 class SolverError(BFamilyError):

@@ -8,6 +8,7 @@ reproducible bytes.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -80,51 +81,38 @@ def write_conservation_csv(path, report: ConservationReport):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-EXPERIMENT_HEADER = (
-    "n,r_n,input_dist,output_dist,momentum_output_dist,"
-    "witness_gap,disjoint_ok,resolved_ok"
-)
+# the experiment report's columns are ExperimentRow's fields in declared
+# order; annotations are postponed, so each field's type is its type's name
+_ROW_COLUMNS = [(f.name, f.type) for f in fields(ExperimentRow)]
+_ROW_HEADER = ",".join(name for name, _ in _ROW_COLUMNS)
+_FORMAT = {"int": str, "float": _fmt, "bool": lambda v: str(v).lower()}
+_PARSE = {"int": int, "float": float, "bool": {"true": True, "false": False}.__getitem__}
 
 
 def write_experiment_csv(path, report: ExperimentReport):
-    lines = [EXPERIMENT_HEADER]
-    for r in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.n),
-                    _fmt(r.r_n),
-                    _fmt(r.input_dist),
-                    _fmt(r.output_dist),
-                    _fmt(r.momentum_output_dist),
-                    _fmt(r.witness_gap),
-                    str(r.disjoint_ok).lower(),
-                    str(r.resolved_ok).lower(),
-                ]
-            )
-        )
+    lines = [_ROW_HEADER]
+    lines.extend(
+        ",".join(_FORMAT[kind](getattr(row, name)) for name, kind in _ROW_COLUMNS)
+        for row in report.rows
+    )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_experiment_rows(path) -> list:
     lines = Path(path).read_text().strip().split("\n")
-    if lines[0] != EXPERIMENT_HEADER:
+    if lines[0] != _ROW_HEADER:
         raise ConfigError(f"{path}: unexpected experiment header")
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
-        rows.append(
-            ExperimentRow(
-                n=int(parts[0]),
-                r_n=float(parts[1]),
-                input_dist=float(parts[2]),
-                output_dist=float(parts[3]),
-                momentum_output_dist=float(parts[4]),
-                witness_gap=float(parts[5]),
-                disjoint_ok=parts[6] == "true",
-                resolved_ok=parts[7] == "true",
-            )
-        )
+        try:
+            values = {
+                name: _PARSE[kind](part)
+                for (name, kind), part in zip(_ROW_COLUMNS, parts, strict=True)
+            }
+        except (KeyError, ValueError):
+            raise ConfigError(f"{path}: malformed experiment row '{line}'") from None
+        rows.append(ExperimentRow(**values))
     return rows
 
 

@@ -174,7 +174,7 @@ def test_criterion_05_scaling_law():
     grid = make_grid(L, 2048)
     u0 = standard_gaussian(grid)
     resid = scaling_check(
-        u0, 2.0, 0.5, BParams(b=2.0, s=S), SolverConfig(dt=1e-3, T=0.5)
+        u0, 2.0, BParams(b=2.0, s=S), SolverConfig(dt=1e-3, T=0.5)
     )
     ok = resid <= 1e-6
     report(5, "time-amplitude-scaling", ok, f"lambda=2 residual {resid:.2e}")

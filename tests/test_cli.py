@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its artifacts."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -272,6 +273,35 @@ class TestNonuniform:
         assert manifest["separation_persistent"] is True
         assert {"m_est", "x0_est", "L_est", "config_hash"} <= set(manifest)
 
+    def test_report_round_trip_and_malformed_rows(self, tmp_path):
+        from bfamily.errors import ConfigError
+        from bfamily.experiments import ExperimentReport, ExperimentRow
+        from bfamily.io import write_experiment_csv
+
+        nan = float("nan")
+        rows = [
+            ExperimentRow(1, 0.5, 0.25, 0.1, 0.2, 0.3, True, True),
+            ExperimentRow(16, 0.03125, 0.015625, nan, nan, nan, False, False),
+        ]
+        path, again = tmp_path / "report.csv", tmp_path / "again.csv"
+        write_experiment_csv(path, ExperimentReport(rows, 1.0, 0.0, 1.0))
+        header, first, second = path.read_text().splitlines()
+        assert header == (
+            "n,r_n,input_dist,output_dist,momentum_output_dist,"
+            "witness_gap,disjoint_ok,resolved_ok"
+        )
+        assert first == (
+            "1,0.5,0.25,0.10000000000000001,0.20000000000000001,"
+            "0.29999999999999999,true,true"
+        )
+        assert second == "16,0.03125,0.015625,nan,nan,nan,false,false"
+        write_experiment_csv(again, ExperimentReport(read_experiment_rows(path), 1, 0, 1))
+        assert again.read_bytes() == path.read_bytes()
+        for bad in (first.replace("true", "yes", 1), first.rsplit(",", 1)[0], "x" + first):
+            path.write_text(f"{header}\n{bad}\n")
+            with pytest.raises(ConfigError, match="malformed experiment row"):
+                read_experiment_rows(path)
+
     def test_degenerate_probe_exit_one(self, tmp_path):
         cfg = write_config(
             tmp_path, NONUNIFORM_CFG.replace("probe.amp = 4.5", "probe.amp = 0")
@@ -373,6 +403,57 @@ def test_sweep_pool_never_exceeds_its_cells(tmp_path, monkeypatch, jobs, pool):
     assert len(json.loads((out / "index.json").read_text())["cells"]) == 3
 
 
+MANIFEST_BASE = {"command", "config", "config_hash", "params", "solver"}
+SOLVE_FIELDS = {"formulation", "termination", "times", "snapshots"}
+CONSERVE_FIELDS = {"termination", "tol", "max_residual", "passed"}
+
+# case -> (argv before --config, config text, exit code, command, its own fields)
+MANIFEST_RUNS = {
+    "solve-eulerian": (["solve"], FAST_SOLVE, 0, "solve", SOLVE_FIELDS),
+    "solve-lagrangian": (
+        ["solve", "--formulation", "lagrangian"], FAST_SOLVE, 0, "solve", SOLVE_FIELDS
+    ),
+    "conserve": (["conserve"], FAST_SOLVE, 0, "conserve", CONSERVE_FIELDS),
+    "exp": (["exp"], FAST_SOLVE, 0, "exp", {"termination", "snapshot"}),
+    "exp-blowup": (
+        ["exp"], FAST_SOLVE + "solver.min_phix = 0.999\n", 2, "exp", {"termination"}
+    ),
+    "scalecheck": (
+        ["scalecheck"], FAST_SOLVE + "experiment.lambda = 2\n", 0, "scalecheck",
+        {"residual", "scale", "horizon"},
+    ),
+    # n = 16 is under-resolved at N = 512: a failed run still writes its manifest
+    "nonuniform": (
+        ["nonuniform"],
+        NONUNIFORM_CFG.replace("experiment.n_values = 1,16", "experiment.n_values = 16"),
+        3,
+        "nonuniform",
+        {"m_est", "x0_est", "L_est", "resolved_n", "separation_persistent"},
+    ),
+    "sweep-cell": (
+        ["sweep"], FAST_SOLVE + "sweep.command = conserve\n", 0, "conserve",
+        CONSERVE_FIELDS,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_RUNS))
+def test_every_manifest_carries_the_base_keys(tmp_path, case):
+    argv, text, code, command, fields = MANIFEST_RUNS[case]
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert run_cli(argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]) == code
+    if argv[0] == "sweep":
+        out = out / "b2_N64"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == MANIFEST_BASE | fields
+    assert manifest["command"] == command
+    assert "sweep." not in manifest["config"]
+    assert manifest["config_hash"] == hashlib.sha256(manifest["config"].encode()).hexdigest()
+    assert manifest["params"] == {"b": 2.0, "s": 2.0}
+    assert manifest["solver"]["dt"] == (0.005 if command == "nonuniform" else 0.01)
+
+
 def _bump(center, radius, n):
     kept = [
         line
@@ -416,6 +497,15 @@ BAD_INPUTS = {
     "scalecheck-tol-nan": ("scalecheck", FAST_SOLVE, "--tol", "nan"),
     "scalecheck-tol-inf": ("scalecheck", FAST_SOLVE, "--tol", "inf"),
     "scalecheck-tol-negative": ("scalecheck", FAST_SOLVE, "--tol", "-1"),
+    "sweep-wraps-sweep": (
+        "sweep",
+        SWEEP_CFG.replace("sweep.command = solve", "sweep.command = sweep"),
+    ),
+    "sweep-unknown-command": (
+        "sweep",
+        SWEEP_CFG.replace("sweep.command = solve", "sweep.command = bogus"),
+    ),
+    "sweep-without-command": ("sweep", SWEEP_CFG.replace("sweep.command = solve\n", "")),
     "sweep-jobs-zero": ("sweep", SWEEP_CFG, "--jobs", "0"),
     "nonuniform-jobs-negative": ("nonuniform", NONUNIFORM_CFG, "--jobs", "-2"),
 }

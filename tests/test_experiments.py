@@ -108,14 +108,14 @@ class TestScalingCheck:
         g = make_grid(20, 256)
         u0 = gaussian_field(g, 0.5, 2.0)
         resid = scaling_check(
-            u0, 1.0, 0.2, BParams(b=2.0, s=S), SolverConfig(dt=5e-3, T=0.2)
+            u0, 1.0, BParams(b=2.0, s=S), SolverConfig(dt=5e-3, T=0.2)
         )
         assert resid == 0.0
 
     def test_zero_datum(self):
         g = make_grid(20, 256)
         resid = scaling_check(
-            Field.zeros(g), 2.0, 0.5, BParams(b=2.0, s=S), SolverConfig(dt=5e-3, T=0.5)
+            Field.zeros(g), 2.0, BParams(b=2.0, s=S), SolverConfig(dt=5e-3, T=0.5)
         )
         assert resid == 0.0
 
@@ -123,7 +123,7 @@ class TestScalingCheck:
         g = make_grid(20, 512)
         u0 = gaussian_field(g, 0.5, 2.0)
         resid = scaling_check(
-            u0, 2.0, 0.5, BParams(b=2.0, s=S), SolverConfig(dt=1e-3, T=0.5)
+            u0, 2.0, BParams(b=2.0, s=S), SolverConfig(dt=1e-3, T=0.5)
         )
         assert resid <= 1e-6
 
@@ -205,17 +205,24 @@ class TestNonUniformityExperiment:
         # reruns are bit-identical, and the process-parallel path reduces
         # to the same report
         report, cfg = report_and_config
-        for again in (
-            nonuniformity_experiment(cfg),
-            nonuniformity_experiment(cfg, jobs=2),
-        ):
-            for a, b in zip(report.rows, again.rows):
-                assert a == b or (
-                    np.isnan(a.output_dist) and np.isnan(b.output_dist) and a.n == b.n
-                )
-            assert again.m_est == report.m_est
-            assert again.x0_est == report.x0_est
-            assert again.L_est == report.L_est
+        again = nonuniformity_experiment(cfg)
+        for a, b in zip(report.rows, again.rows):
+            assert a == b or (
+                np.isnan(a.output_dist) and np.isnan(b.output_dist) and a.n == b.n
+            )
+        assert (again.m_est, again.x0_est, again.L_est) == (
+            report.m_est, report.x0_est, report.L_est
+        )
+        # both n resolve at N = 1024, so jobs=2 computes the rows in a
+        # 2-worker pool (at N = 512 only n = 1 resolves: no pool starts)
+        cfg = small_experiment_config(1024, (1, 2))
+        serial = nonuniformity_experiment(cfg)
+        assert [row.resolved_ok for row in serial.rows] == [True, True]
+        parallel = nonuniformity_experiment(cfg, jobs=2)
+        assert parallel.rows == serial.rows
+        assert (parallel.m_est, parallel.x0_est, parallel.L_est) == (
+            serial.m_est, serial.x0_est, serial.L_est
+        )
 
 
 @pytest.mark.parametrize("jobs, pool", [(64, [3]), (2, [2]), (1, [])])
