@@ -131,12 +131,14 @@ def run_nonuniform(cfg: RunConfig, out: Path, options):
         "separation_persistent": persistent,
     }
     code = EXIT_OK if persistent else EXIT_ACCEPTANCE
-    return code, experiment.params, experiment.solver, fields
+    # every march of the experiment is a time-one map
+    return code, experiment.params, replace(experiment.solver, T=1.0), fields
 
 
 def run_exp(cfg: RunConfig, out: Path, options):
     v, params, solver = _setup(cfg, out)
-    traj = solve_geodesic(v, params, replace(solver, T=1.0))
+    solver = replace(solver, T=1.0)  # exp marches to T = 1 whatever solver.T says
+    traj = solve_geodesic(v, params, solver)
     fields = {"termination": traj.termination}
     if traj.termination != COMPLETED:
         return EXIT_BLOWUP, params, solver, fields
@@ -148,7 +150,7 @@ def run_scalecheck(cfg: RunConfig, out: Path, options):
     u0, params, solver = _setup(cfg, out)
     lam = cfg["experiment.lambda"]
     residual = scaling_check(u0, lam, params, solver)
-    fields = {"residual": residual, "scale": lam, "horizon": cfg["solver.T"]}
+    fields = {"residual": residual, "scale": lam}
     if options.tol is not None and residual > options.tol:
         return EXIT_ACCEPTANCE, params, solver, fields
     return EXIT_OK, params, solver, fields
@@ -165,8 +167,8 @@ _RUNNERS = {
 
 def _run(cfg: RunConfig, out: Path, options) -> int:
     """Run cfg's command and write its manifest.json: the runner's fields
-    plus command, config, config_hash and the params and solver built from
-    the config (dt may be auto-derived)."""
+    plus command, config, config_hash and the params and solver the command
+    ran with (dt may be auto-derived, and exp and nonuniform march to T = 1)."""
     code, params, solver, fields = _RUNNERS[cfg.command](cfg, out, options)
     manifest = {
         "command": cfg.command,

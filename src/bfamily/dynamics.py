@@ -16,9 +16,17 @@ by conjugate gradients preconditioned with the flat Helmholtz inverse; the
 right-hand side phi_x B and the start's S g0 share one batched inverse and
 one batched forward transform.  The solve stops at relative residual
 CHRISTOFFEL_RTOL, checked on the true residual, and raises SolverError if
-N iterations do not reach it.  The symmetric form at the identity is the
-polarization of Gamma_id(v, v).  As y o phi = A_phi phi_t, the transported
-momentum (y o phi) phi_x^b is phi_x^(b-1) S phi_t: no inversion.
+N iterations do not reach it.  Only the solve's start depends on the
+march: each RK4 stage starts from a prediction built from the step's own
+stage values G1..G4 and the previous step's P1..P4,
+    stage 1: P4,  stage 2: 2 G1 - P3 (linear in time),  stage 3: G2,
+    stage 4: P1/3 - 2 G1 + (4/3)(G2 + G3),
+the last being the quadratic through t - dt, t and t + dt/2 (where
+(G2 + G3)/2 lies on the trajectory to O(dt^3)) evaluated at t + dt.  The
+first step starts stage 1 cold and stages 2 and 4 from G1 and 2 G3 - G1.
+The symmetric form at the identity is the polarization of Gamma_id(v, v).
+As y o phi = A_phi phi_t, the transported momentum (y o phi) phi_x^b is
+phi_x^(b-1) S phi_t: no inversion.
 
 Every RK4 step is one _rk4_step; _march owns the solvers' step schedule,
 finiteness check and snapshot cadence.
@@ -171,8 +179,9 @@ def _solve_conjugated_helmholtz(grid: Grid, phi_x: np.ndarray, bil, initial):
     Preconditioned CG on S g = phi_x B (_self_adjoint_form).  D zeroes the
     Nyquist mode, so it is skew-adjoint and S is symmetric positive definite
     in the Parseval inner product; the flat Helmholtz inverse preconditions
-    it.  The start is initial (a spectrum, e.g. the previous stage's value)
-    or else the flat Helmholtz inverse of B, exact at phi = id; its S g0
+    it.  The start is initial (a spectrum, e.g. solve_geodesic's stage
+    prediction) or else the flat Helmholtz inverse of B, exact at phi = id;
+    it changes the number of iterations, never the stopping rule.  Its S g0
     comes with the right-hand side phi_x B from the same two transforms.
     Only the true residual (not the recurrence's) is accepted, and CG's
     exact-arithmetic bound of N iterations caps the solve.
@@ -259,11 +268,11 @@ def christoffel_at(phi: Diffeomorphism, v: Field, params: BParams) -> Field:
 
 
 def _rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step; rhs(y, c) is called at the stage time t + c dt."""
-    k1 = rhs(y, 0.0)
-    k2 = rhs(y + 0.5 * dt * k1, 0.5)
-    k3 = rhs(y + 0.5 * dt * k2, 0.5)
-    k4 = rhs(y + dt * k3, 1.0)
+    """One classical RK4 step; rhs(y, stage) is called with stage = 0, 1, 2, 3."""
+    k1 = rhs(y, 0)
+    k2 = rhs(y + 0.5 * dt * k1, 1)
+    k3 = rhs(y + 0.5 * dt * k2, 2)
+    k4 = rhs(y + dt * k3, 3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -316,12 +325,29 @@ def solve_geodesic(u0: Field, params: BParams, config: SolverConfig) -> Trajecto
     times = [0.0]
     states = [SprayState(identity(grid), Field(grid, u0.values))]
     termination = COMPLETED
-    warm = None  # each Christoffel solve starts from the last stage's value
+    gam = [None] * 4  # this step's stage values G1..G4
+    prev = None  # the previous step's P1..P4
 
-    def rhs(y, _):
-        nonlocal warm
-        warm = _christoffel_at_arr(grid, params.b, y[0], y[1], warm)
-        return np.array([y[1], warm])
+    def start(stage):
+        """The Christoffel solve's initial guess, predicted from G and P."""
+        if stage == 0:
+            return None if prev is None else prev[3]
+        if stage == 1:  # linear in time through t - dt/2 and t, at t + dt/2
+            return gam[0] if prev is None else 2.0 * gam[0] - prev[2]
+        if stage == 2:
+            return gam[1]
+        if prev is None:  # linear through t and t + dt/2, at t + dt
+            return 2.0 * gam[2] - gam[0]
+        # quadratic through t - dt, t and t + dt/2 (where (G2 + G3)/2 lies
+        # on the trajectory to O(dt^3)), at t + dt
+        return prev[0] / 3.0 - 2.0 * gam[0] + (4.0 / 3.0) * (gam[1] + gam[2])
+
+    def rhs(y, stage):
+        nonlocal prev
+        gam[stage] = _christoffel_at_arr(grid, params.b, y[0], y[1], start(stage))
+        if stage == 3:
+            prev = list(gam)
+        return np.array([y[1], gam[stage]])
 
     y0 = grid.rfft(np.array([np.zeros(grid.n_points), u0.values]))
     try:

@@ -420,12 +420,13 @@ MANIFEST_RUNS = {
     ),
     "scalecheck": (
         ["scalecheck"], FAST_SOLVE + "experiment.lambda = 2\n", 0, "scalecheck",
-        {"residual", "scale", "horizon"},
+        {"residual", "scale"},
     ),
     # n = 16 is under-resolved at N = 512: a failed run still writes its manifest
     "nonuniform": (
         ["nonuniform"],
-        NONUNIFORM_CFG.replace("experiment.n_values = 1,16", "experiment.n_values = 16"),
+        NONUNIFORM_CFG.replace("experiment.n_values = 1,16", "experiment.n_values = 16")
+        .replace("solver.T = 1", "solver.T = 0.5"),
         3,
         "nonuniform",
         {"m_est", "x0_est", "L_est", "resolved_n", "separation_persistent"},
@@ -452,6 +453,8 @@ def test_every_manifest_carries_the_base_keys(tmp_path, case):
     assert manifest["config_hash"] == hashlib.sha256(manifest["config"].encode()).hexdigest()
     assert manifest["params"] == {"b": 2.0, "s": 2.0}
     assert manifest["solver"]["dt"] == (0.005 if command == "nonuniform" else 0.01)
+    if command in ("exp", "nonuniform"):  # both march to T = 1, not to solver.T
+        assert manifest["solver"]["T"] == 1.0
 
 
 def _bump(center, radius, n):
