@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import RunConfig, load_config, sweep_cell
@@ -131,13 +131,11 @@ def run_nonuniform(cfg: RunConfig, out: Path, options):
         "separation_persistent": persistent,
     }
     code = EXIT_OK if persistent else EXIT_ACCEPTANCE
-    # every march of the experiment is a time-one map
-    return code, experiment.params, replace(experiment.solver, T=1.0), fields
+    return code, experiment.params, experiment.solver, fields
 
 
 def run_exp(cfg: RunConfig, out: Path, options):
     v, params, solver = _setup(cfg, out)
-    solver = replace(solver, T=1.0)  # exp marches to T = 1 whatever solver.T says
     traj = solve_geodesic(v, params, solver)
     fields = {"termination": traj.termination}
     if traj.termination != COMPLETED:

@@ -198,13 +198,13 @@ class RunConfig:
     def build_solver(self, u0: Field):
         from .dynamics import SolverConfig, default_dt
 
+        # the horizon marched (exp and nonuniform march time-one maps) caps a derived dt
+        T = 1.0 if self.command in ("exp", "nonuniform") else self["solver.T"]
         dt = self["solver.dt"]
-        if dt is None:
-            dt = default_dt(u0)
         with _validating():
             return SolverConfig(
-                dt=dt,
-                T=self["solver.T"],
+                dt=min(default_dt(u0), T) if dt is None else dt,
+                T=T,
                 snapshot_stride=self["solver.stride"],
                 blowup_norm_cap=self["solver.norm_cap"],
                 min_phix=self["solver.min_phix"],

@@ -9,16 +9,16 @@ u_xx) and one batched forward transform (both products).
 Lagrangian: RK4 on the first-order geodesic system
     (phi, phi_t)' = (phi_t, Gamma_phi(phi_t, phi_t)),
 the state being the half spectra of (displacement, phi_t).  Gamma_phi is
-evaluated without inverting phi: the conjugated derivatives give the
-bilinear term B in flow coordinates, and A_phi g = g - (1/phi_x) D (1/phi_x) D g
-= B is solved in its self-adjoint form S g = phi_x g - D(g_x / phi_x) = phi_x B
-by conjugate gradients preconditioned with the flat Helmholtz inverse; the
-right-hand side phi_x B and the start's S g0 share one batched inverse and
-one batched forward transform.  The solve stops at relative residual
-CHRISTOFFEL_RTOL, checked on the true residual, and raises SolverError if
-N iterations do not reach it.  Only the solve's start depends on the
-march: each RK4 stage starts from a prediction built from the step's own
-stage values G1..G4 and the previous step's P1..P4,
+evaluated without inverting phi.  With D_phi = (1/phi_x) D the bilinear
+term is the flux form B = D_phi Q, Q = -(b/2) v^2 + ((b-3)/2) (D_phi v)^2,
+and A_phi g = g - D_phi^2 g = B is solved in its self-adjoint form
+S g = phi_x g - D(g_x / phi_x) = phi_x B = Q_x by conjugate gradients
+preconditioned with the flat Helmholtz inverse; a predicted start's S g0
+shares the transforms that assemble Q_x.  The solve stops at relative
+residual CHRISTOFFEL_RTOL, checked on the true residual, and raises
+SolverError if N iterations do not reach it.  Only the solve's start
+depends on the march: each RK4 stage starts from a prediction built from
+the step's own stage values G1..G4 and the previous step's P1..P4,
     stage 1: P4,  stage 2: 2 G1 - P3 (linear in time),  stage 3: G2,
     stage 4: P1/3 - 2 G1 + (4/3)(G2 + G3),
 the last being the quadratic through t - dt, t and t + dt/2 (where
@@ -157,32 +157,28 @@ def christoffel_id(v: Field, w: Field, params: BParams) -> Field:
 
 
 def _self_adjoint_form(grid: Grid, phi_x: np.ndarray):
-    """apply_s(spec, *rest) -> (spectrum of S g, spectrum of phi_x f per f in rest).
+    """apply_s(spec) -> spectrum of S g, g given by its spectrum spec.
 
-    g and each f are given by their spectra.  S g = phi_x g - D(g_x / phi_x)
-    = phi_x A_phi g takes g, g_x (and f) in one batched inverse transform
-    and phi_x g, g_x / phi_x (and phi_x f) in one batched forward one.
+    S g = phi_x g - D(g_x / phi_x) = phi_x A_phi g takes g, g_x in one
+    batched inverse transform and phi_x g, g_x / phi_x in one batched
+    forward one.
     """
-    by_phi_x = np.array([phi_x, 1.0 / phi_x, phi_x])
+    by_phi_x = np.array([phi_x, 1.0 / phi_x])
 
-    def apply_s(spec, *rest):
-        samples = grid.irfft(np.array([spec, grid.d1 * spec, *rest]))
-        terms = grid.rfft(by_phi_x[: len(samples)] * samples)
-        return (terms[0] - grid.d1 * terms[1], *terms[2:])
+    def apply_s(spec):
+        terms = grid.rfft(by_phi_x * grid.irfft(np.array([spec, grid.d1 * spec])))
+        return terms[0] - grid.d1 * terms[1]
 
     return apply_s
 
 
-def _solve_conjugated_helmholtz(grid: Grid, phi_x: np.ndarray, bil, initial):
-    """Spectrum of the solution of A_phi g = B, B given by its spectrum bil.
+def _solve_conjugated_helmholtz(grid: Grid, phi_x: np.ndarray, rhs, g, sg):
+    """Spectrum of the solution of S g = rhs, by CG started from g with S g = sg.
 
-    Preconditioned CG on S g = phi_x B (_self_adjoint_form).  D zeroes the
-    Nyquist mode, so it is skew-adjoint and S is symmetric positive definite
-    in the Parseval inner product; the flat Helmholtz inverse preconditions
-    it.  The start is initial (a spectrum, e.g. solve_geodesic's stage
-    prediction) or else the flat Helmholtz inverse of B, exact at phi = id;
-    it changes the number of iterations, never the stopping rule.  Its S g0
-    comes with the right-hand side phi_x B from the same two transforms.
+    rhs = phi_x B, g and sg are spectra.  D zeroes the Nyquist mode, so it is
+    skew-adjoint and S (_self_adjoint_form) is symmetric positive definite in
+    the Parseval inner product; the flat Helmholtz inverse preconditions it.
+    The start changes the number of iterations, never the stopping rule.
     Only the true residual (not the recurrence's) is accepted, and CG's
     exact-arithmetic bound of N iterations caps the solve.
     """
@@ -191,8 +187,6 @@ def _solve_conjugated_helmholtz(grid: Grid, phi_x: np.ndarray, bil, initial):
     def inner(p, q):
         return np.vdot(p, grid.weights * q).real
 
-    g = grid.helmholtz * bil if initial is None else initial
-    sg, rhs = apply_s(g, bil)
     # squared norms: inner(r, r) is grid.norm(r)**2
     target = CHRISTOFFEL_RTOL**2 * inner(rhs, rhs)
     r = rhs - sg
@@ -204,7 +198,7 @@ def _solve_conjugated_helmholtz(grid: Grid, phi_x: np.ndarray, bil, initial):
         z = grid.helmholtz * r
         rz, rz_prev = inner(r, z), rz
         p = z if p is None else z + (rz / rz_prev) * p
-        (sp,) = apply_s(p)
+        sp = apply_s(p)
         curvature = inner(p, sp)
         if not (rz > 0.0 and curvature > 0.0):
             break  # r or p underflowed (or went NaN): CG cannot go on
@@ -212,9 +206,9 @@ def _solve_conjugated_helmholtz(grid: Grid, phi_x: np.ndarray, bil, initial):
         g = g + alpha * p
         r = r - alpha * sp
         if (rr := inner(r, r)) <= target:
-            r = rhs - apply_s(g)[0]
+            r = rhs - apply_s(g)
             rr = inner(r, r)
-    r = rhs - apply_s(g)[0]
+    r = rhs - apply_s(g)
     if inner(r, r) <= target:
         return g
     raise SolverError(
@@ -233,25 +227,33 @@ def _christoffel_at_arr(
 ) -> np.ndarray:
     """Spectrum of Gamma_phi(v, v) in flow coordinates, phi = id + disp.
 
-    disp, v and initial are half spectra.  B = -b v d1 + (b-3) d1 d2, d1 and
-    d2 the conjugated first and second derivatives of v, factors and
-    products 2/3-truncated; every transform stage is one stacked call.
+    disp, v and initial are half spectra.  As v D_phi v = D_phi(v^2)/2 and
+    D_phi v D_phi^2 v = D_phi((D_phi v)^2)/2, the solve's right-hand side is
+    phi_x B = Q_x, Q = -(b/2) v^2 + ((b-3)/2) (v_x / phi_x)^2, with v and
+    v_x / phi_x 2/3-truncated so both squares are exactly dealiased.  The
+    start g0 = initial shares those transforms (g0, g0_x in, phi_x g0 and
+    g0_x / phi_x out); without it, the start is the flat Helmholtz inverse
+    of Q_x, exact at phi = id, and costs one apply_s.
     """
-    rows = [grid.d1 * disp, grid.d2 * disp, grid.d1 * v, grid.d2 * v, grid.keep * v]
-    fx, fxx, vx, vxx, vt = grid.irfft(np.array(rows))
-    phi_x = 1.0 + fx
+    start = [] if initial is None else [initial, grid.d1 * initial]
+    samples = grid.irfft(np.array([grid.d1 * disp, grid.keep * v, grid.d1 * v, *start]))
+    phi_x = 1.0 + samples[0]
     if np.min(phi_x) <= 0.0:
         raise PositivityError(
             f"flow map degenerated inside a stage (min phi_x = {np.min(phi_x):.3e})"
         )
-    d1 = vx / phi_x
-    d2 = vxx / phi_x**2 - vx * fxx / phi_x**3
-    d1t, d2t = grid.truncated(grid.rfft(np.array([d1, d2])))
-    vd1, d1d2 = grid.product(np.array([vt, d1t]), np.array([d1t, d2t]))
-    bil = -b * vd1 + (b - 3.0) * d1d2
-    if grid.norm(bil) == 0.0:
+    by_phi_x = np.array([1.0 / phi_x, phi_x, 1.0 / phi_x])
+    dv, *s_terms = grid.rfft(by_phi_x[: len(samples) - 2] * samples[2:])
+    q = -0.5 * b * samples[1] ** 2 + 0.5 * (b - 3.0) * grid.truncated(dv) ** 2
+    rhs = grid.d1 * grid.keep * grid.rfft(q)
+    if grid.norm(rhs) == 0.0:
         return np.zeros_like(v)
-    return _solve_conjugated_helmholtz(grid, phi_x, bil, initial)
+    if s_terms:
+        sg0 = s_terms[0] - grid.d1 * s_terms[1]
+        return _solve_conjugated_helmholtz(grid, phi_x, rhs, initial, sg0)
+    g0 = grid.helmholtz * rhs
+    sg0 = _self_adjoint_form(grid, phi_x)(g0)
+    return _solve_conjugated_helmholtz(grid, phi_x, rhs, g0, sg0)
 
 
 def christoffel_at(phi: Diffeomorphism, v: Field, params: BParams) -> Field:
@@ -284,12 +286,11 @@ def _march(config: SolverConfig, y: np.ndarray, rhs):
     state that lost finiteness, raises SolverError with the step's end time.
     """
     n_full = int(math.floor(config.T / config.dt + 1e-9))
-    steps = [config.dt] * n_full
     tail = config.T - n_full * config.dt
-    if tail > 1e-9 * config.T:
-        steps.append(tail)
-    for k, dt in enumerate(steps):
-        last = k == len(steps) - 1
+    n_steps = n_full + (tail > 1e-9 * config.T)
+    for k in range(n_steps):
+        last = k == n_steps - 1
+        dt = tail if k == n_full else config.dt
         t = config.T if last else (k + 1) * config.dt
         try:
             y = _rk4_step(rhs, y, dt)
@@ -393,7 +394,7 @@ def dexp(
 def transported_momentum(state: SprayState, b: float) -> Field:
     """q = (y o phi) phi_x^b = phi_x^(b-1) S phi_t, without inverting phi."""
     grid, phi_x = state.phi.grid, state.phi.phi_x
-    s_phit = _self_adjoint_form(grid, phi_x)(grid.rfft(state.phit.values))[0]
+    s_phit = _self_adjoint_form(grid, phi_x)(grid.rfft(state.phit.values))
     return Field(grid, phi_x ** (b - 1.0) * grid.irfft(s_phit))
 
 

@@ -457,6 +457,21 @@ def test_every_manifest_carries_the_base_keys(tmp_path, case):
         assert manifest["solver"]["T"] == 1.0
 
 
+@pytest.mark.parametrize("command", ["solve", "conserve", "scalecheck", "exp"])
+def test_derived_dt_is_capped_at_the_marched_horizon(tmp_path, command):
+    # no solver.dt, and solver.T below the derived step 1e-3
+    text = FAST_SOLVE.replace("solver.dt = 0.01\n", "").replace("solver.T = 0.1", "solver.T = 1e-4")
+    if command == "scalecheck":
+        text += "experiment.lambda = 2\n"
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(write_config(tmp_path, text)), "--out", str(out)) == 0
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    if command == "exp":  # exp marches to T = 1, so the derived step stands
+        assert solver["T"] == 1.0 and solver["dt"] == 1e-3
+    else:
+        assert solver["T"] == solver["dt"] == 1e-4
+
+
 def _bump(center, radius, n):
     kept = [
         line
@@ -529,8 +544,9 @@ def test_header_only_field_csv_is_config_error(tmp_path):
     assert err.rstrip().endswith("no data rows")
 
 
-def assert_config_error_without_output(tmp_path, command, text, *flags):
-    # a fresh interpreter, so an uncaught exception would show as a traceback
+def run_fresh(tmp_path, command, text, *flags):
+    """Run the CLI in a fresh interpreter, so an uncaught exception shows as a
+    traceback on stderr; returns the finished process and the --out path."""
     import bfamily
 
     cfg = write_config(tmp_path, text)
@@ -544,8 +560,38 @@ def assert_config_error_without_output(tmp_path, command, text, *flags):
         env=env,
         timeout=120,
     )
+    return proc, out
+
+
+def assert_config_error_without_output(tmp_path, command, text, *flags):
+    proc, out = run_fresh(tmp_path, command, text, *flags)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
     assert not out.exists()
     return proc.stderr
+
+
+# No solver.dt, so the derived step 0.5 h / max|u0| gives about 3e17 (amp 1e19)
+# or 3e23 (amp 1e25) steps to T = 0.01, more than a list of steps could hold;
+# the march must start anyway and end at a blow-up guard.
+HUGE_RUNS = {
+    "solve-1e19": (["solve"], "1e19"),
+    "solve-1e25": (["solve"], "1e25"),
+    "solve-lagrangian-1e19": (["solve", "--formulation", "lagrangian"], "1e19"),
+    "conserve-1e19": (["conserve"], "1e19"),
+    "exp-1e19": (["exp"], "1e19"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_RUNS))
+def test_huge_step_count_is_blowup_without_traceback(tmp_path, case):
+    argv, amp = HUGE_RUNS[case]
+    text = (
+        FAST_SOLVE.replace("solver.dt = 0.01\n", "")
+        .replace("solver.T = 0.1", "solver.T = 0.01")
+        .replace("initial.amp = 0.3", f"initial.amp = {amp}")
+    )
+    proc, _ = run_fresh(tmp_path, argv[0], text, *argv[1:])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr

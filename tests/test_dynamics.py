@@ -260,9 +260,10 @@ class TestChristoffelAt:
         )
 
     def test_transforms_at_identity(self, fft_calls):
-        # one stacked forward transform in, 4 stacked transforms of setup,
-        # one inverse and one forward for the right-hand side fused with the
-        # exact cold start's true residual, one inverse out
+        # one stacked forward transform in, 4 that assemble the flux form
+        # Q_x (v, v_x, phi_x in; v_x / phi_x out and its truncation back in;
+        # Q out), 2 for the cold start's S g0, whose residual already passes,
+        # one inverse out
         g = make_grid(20, 256)
         phi, v = identity(g), gaussian_field(g)
         fft_calls.clear()
@@ -343,14 +344,17 @@ class TestSolveGeodesic:
 
     def test_stage_predictor_cuts_transforms_not_accuracy(self, fft_calls):
         # each stage's solve starts from a prediction built from the step's
-        # own stage values; a cold-start RK4 on christoffel_at must agree
+        # own stage values, and a warm stage's start rides in the 4
+        # transforms that assemble Q_x; a cold-start RK4 on christoffel_at
+        # must agree
         g = make_grid(20, 256)
         u0 = gaussian_field(g)
         params = BParams(b=2.0, s=S)
         cfg = SolverConfig(dt=1e-3, T=0.1, snapshot_stride=10**9)
         fft_calls.clear()
         final = solve_geodesic(u0, params, cfg).final_state
-        assert len(fft_calls) < 4464  # 0.9 x the 4960 of previous-stage starts
+        # 0.9 x the 4100 of assembling phi_x B from B (4960 with previous-stage starts)
+        assert len(fft_calls) < 3690
 
         def rhs(disp, phit):
             gamma = christoffel_at(from_displacement(Field(g, disp)), Field(g, phit), params)
@@ -368,6 +372,19 @@ class TestSolveGeodesic:
             )
         for ours, ref in ((final.phi.displacement.values, disp), (final.phit.values, phit)):
             assert np.max(np.abs(ours - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_steep_map_resolution(self):
+        # a wide bump carrying a narrow one: min phi_x reaches 0.158 at T = 1
+        def displacement(n):
+            g = make_grid(20, n)
+            v = 4.5 * np.exp(-((g.x / 5.0) ** 2)) + 0.9 * np.exp(-((g.x / 0.6) ** 2))
+            cfg = SolverConfig(dt=5e-3, T=1.0, snapshot_stride=10**9)
+            traj = solve_geodesic(Field(g, v), BParams(b=2.0, s=S), cfg)
+            assert traj.termination == COMPLETED
+            return traj.final_state.phi.displacement.values
+
+        coarse, fine = displacement(512), displacement(1024)
+        assert np.max(np.abs(coarse - fine[::2])) <= 1e-7
 
     def test_unconverged_christoffel_solve_raises_with_time(self, monkeypatch):
         monkeypatch.setattr("bfamily.dynamics.CHRISTOFFEL_RTOL", 0.0)
