@@ -76,6 +76,14 @@ def _setup(cfg: RunConfig, out: Path):
     return u0, params, solver
 
 
+def _termination_code(traj) -> int:
+    """EXIT_OK for a completed march; a blow-up exits 2 with one stderr line."""
+    if traj.termination == COMPLETED:
+        return EXIT_OK
+    print(f"blow-up: {traj.termination} at t = {traj.times[-1]:.6g}", file=sys.stderr)
+    return EXIT_BLOWUP
+
+
 # Each runner takes (cfg, out, options), where options carries the parsed
 # flags (formulation, tol, jobs) of the command line or of a sweep cell, and
 # returns (exit code, params, solver, the command's manifest fields).
@@ -96,8 +104,7 @@ def run_solve(cfg: RunConfig, out: Path, options):
         "times": [float(t) for t in traj.times],
         "snapshots": snapshots,
     }
-    code = EXIT_OK if traj.termination == COMPLETED else EXIT_BLOWUP
-    return code, params, solver, fields
+    return _termination_code(traj), params, solver, fields
 
 
 def run_conserve(cfg: RunConfig, out: Path, options):
@@ -112,8 +119,8 @@ def run_conserve(cfg: RunConfig, out: Path, options):
         "max_residual": report.max_residual,
         "passed": ok,
     }
-    if traj.termination != COMPLETED:
-        return EXIT_BLOWUP, params, solver, fields
+    if code := _termination_code(traj):
+        return code, params, solver, fields
     return (EXIT_OK if ok else EXIT_ACCEPTANCE), params, solver, fields
 
 
@@ -138,8 +145,8 @@ def run_exp(cfg: RunConfig, out: Path, options):
     v, params, solver = _setup(cfg, out)
     traj = solve_geodesic(v, params, solver)
     fields = {"termination": traj.termination}
-    if traj.termination != COMPLETED:
-        return EXIT_BLOWUP, params, solver, fields
+    if code := _termination_code(traj):
+        return code, params, solver, fields
     write_diffeo_csv(out / "phi.csv", traj.final_state.phi)
     return EXIT_OK, params, solver, {**fields, "snapshot": "phi.csv"}
 

@@ -29,10 +29,11 @@ class Grid:
       xi         wavenumbers pi*k/L
       d1, d2     d/dx (i xi, with the unpaired Nyquist mode zeroed so odd
                  derivatives stay real) and d^2/dx^2 (-xi^2)
-      jet        rows 1, d1, d2: one product gives the spectra of u, u_x, u_xx
       helmholtz  1/(1 + xi^2), the inverse of 1 - d^2/dx^2
       keep       1.0 on the dealiased band |k| <= N//3, else 0.0
       weights    L^2 weights of |c_k|^2 (modes 0 < k < N/2 count twice)
+    The dealiased product of two truncated fields, keep * rfft(a * b), is
+    tests/helpers.dealiased_product; the solvers square truncated fields.
     """
 
     half_length: float
@@ -56,7 +57,6 @@ class Grid:
             ("xi", xi),
             ("d1", d1),
             ("d2", -(xi**2)),
-            ("jet", np.stack([np.ones_like(d1), d1, -(xi**2)])),
             ("helmholtz", 1.0 / (1.0 + xi**2)),
             ("keep", (k <= N // 3).astype(float)),
             ("weights", weights),
@@ -79,15 +79,6 @@ class Grid:
     def truncated(self, spec: np.ndarray) -> np.ndarray:
         """Samples of the field with half spectrum spec, cut to |k| <= N//3."""
         return self.irfft(self.keep * spec)
-
-    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Half spectrum of a*b truncated to |k| <= N//3.
-
-        With a and b already truncated to that band, the retained band of
-        the product is free of aliased images (N//3 < N/3), so this is the
-        exact truncation of the true product.
-        """
-        return self.keep * self.rfft(a * b)
 
     def norm(self, spec: np.ndarray, s: float = 0.0) -> float:
         """H^s norm sqrt(sum (1+xi^2)^s |c_k|^2) of the field with half spectrum spec."""

@@ -55,10 +55,14 @@ def helmholtz_inverse(f: Field) -> Field:
 
 
 def dealiased_product(f: Field, h: Field) -> Field:
-    """f h with both factors and the product 2/3-truncated, by the grid kernel."""
+    """f h with both factors and the product 2/3-truncated, by the grid kernel.
+
+    With both factors cut to |k| <= N//3, the retained band of the product
+    is free of aliased images (N//3 < N/3): the exact truncation of f h.
+    """
     g = f.grid
     ft, ht = g.truncated(g.rfft(f.values)), g.truncated(g.rfft(h.values))
-    return Field(g, g.irfft(g.product(ft, ht)))
+    return Field(g, g.irfft(g.keep * g.rfft(ft * ht)))
 
 
 def slobodeckij_seminorm(f: Field, lam: float) -> float:

@@ -150,6 +150,21 @@ class TestSolve:
         write_field_csv(tmp_path / "again.csv", field)
         assert (tmp_path / "again.csv").read_bytes() == (out / name).read_bytes()
 
+    def test_csv_bytes_of_edge_values(self, tmp_path):
+        # one %-format call for all rows writes the bytes of f"{v:.17g}" rows
+        from bfamily.io import write_field_csv
+        from bfamily.spectral import Field, make_grid
+
+        edges = [-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 1e16 + 2,
+                 1.7976931348623157e308]
+        values = np.array(edges + [-v for v in edges] + [0.0, 2.5])
+        field = Field(make_grid(np.pi, 16), values)  # x needs all 17 digits
+        write_field_csv(tmp_path / "edges.csv", field)
+        rows = "".join(f"{a:.17g},{v:.17g}\n" for a, v in zip(field.grid.x, values))
+        assert (tmp_path / "edges.csv").read_bytes() == ("x,value\n" + rows).encode()
+        back = read_field_csv(tmp_path / "edges.csv").values
+        assert back.tobytes() == values.tobytes()
+
     def test_identical_configs_are_bit_exact(self, tmp_path):
         cfg = write_config(tmp_path, FAST_SOLVE)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -592,6 +607,10 @@ def test_huge_step_count_is_blowup_without_traceback(tmp_path, case):
         .replace("solver.T = 0.1", "solver.T = 0.01")
         .replace("initial.amp = 0.3", f"initial.amp = {amp}")
     )
-    proc, _ = run_fresh(tmp_path, argv[0], text, *argv[1:])
+    proc, out = run_fresh(tmp_path, argv[0], text, *argv[1:])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+    termination = json.loads((out / "manifest.json").read_text())["termination"]
+    assert termination.startswith("blowup_")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"blow-up: {termination} at t = ")

@@ -34,12 +34,13 @@ def gaussian_field(grid, amp=0.5, width=2.0, center=0.0):
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Records every numpy.fft.rfft/irfft call, the spectral kernel's transforms."""
+    """Records (name, input shape) of every numpy.fft.rfft/irfft call, the
+    spectral kernel's transforms."""
     calls = []
     for name in ("rfft", "irfft"):
 
-        def counted(*args, _transform=getattr(np.fft, name), **kwargs):
-            calls.append(1)
+        def counted(*args, _transform=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(args[0])))
             return _transform(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
@@ -82,6 +83,25 @@ class TestRhsEulerian:
         assert np.max(np.abs(rhs_eulerian(Field.zeros(g), params).values)) == 0.0
         const = Field(g, np.full(128, 1.3))
         assert np.max(np.abs(rhs_eulerian(const, params).values)) < 1e-13
+
+    @pytest.mark.parametrize("n", [64, 256, 2048])
+    @pytest.mark.parametrize("b", [0.0, 2.0, 3.0])
+    def test_flux_form_matches_product_form(self, b, n):
+        # -u u_x + H(-b u u_x + (b-3) u_x u_xx), every product dealiased
+        g = make_grid(20, n)
+        rng = np.random.RandomState(7)
+        u = Field(
+            g,
+            0.5 * np.exp(-((g.x / 2.0) ** 2))
+            + 0.2 * np.sin(3 * np.pi * g.x / 20)
+            + 0.05 * rng.randn(n),
+        )
+        ux = derivative(u, 1)
+        uux = dealiased_product(u, ux).values
+        uxuxx = dealiased_product(ux, derivative(u, 2)).values
+        want = -uux + helmholtz_inverse(Field(g, -b * uux + (b - 3.0) * uxuxx)).values
+        got = rhs_eulerian(u, BParams(b=b, s=S)).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_conservative_form_identity(self):
         # -b u u_x + (b-3) u_x u_xx == -d/dx((b/2) u^2 + ((3-b)/2) u_x^2)
@@ -169,13 +189,23 @@ class TestSolveEulerian:
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_transforms_per_step(self, fft_calls, steps):
-        # 8 per step (4 stages of one stacked irfft and one stacked rfft),
-        # plus the forward transform of u0 and one inverse per snapshot
+        # 8 per step (4 stages of one stacked irfft of u, u_x and one stacked
+        # rfft of the two squares u^2, u_x^2), plus the forward transform of
+        # u0 and one inverse per snapshot
         g = make_grid(20, 256)
         cfg = SolverConfig(dt=0.01, T=0.01 * steps, snapshot_stride=10**9)
         traj = solve_eulerian(gaussian_field(g), BParams(b=2.0, s=S), cfg)
         assert len(traj.states) == 2
         assert len(fft_calls) == 8 * steps + 2
+
+    def test_stage_transforms_take_two_rows(self, fft_calls):
+        # each stage: one 2-row inverse of (u, u_x), one 2-row forward of the
+        # squares; u0 goes in and the final snapshot comes out as one row
+        g = make_grid(20, 256)
+        cfg = SolverConfig(dt=0.01, T=0.02, snapshot_stride=10**9)
+        solve_eulerian(gaussian_field(g), BParams(b=2.0, s=S), cfg)
+        stage = [("irfft", (2, 129)), ("rfft", (2, 256))]
+        assert fft_calls == [("rfft", (256,))] + stage * 8 + [("irfft", (129,))]
 
     def test_nan_aborts_with_time(self):
         g = make_grid(20, 128)
