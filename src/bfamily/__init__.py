@@ -3,7 +3,6 @@
 from .diagnostics import (
     ConservationReport,
     conservation_residual,
-    disjoint_support_ratio,
     momentum,
     pushforward_reconstruct,
 )
@@ -38,14 +37,12 @@ from .experiments import (
     build_bump,
     estimate_probe_geometry,
     nonuniformity_experiment,
-    scaling_check,
     time_one_map,
 )
 from .spectral import (
     Field,
     Grid,
     derivative,
-    homogeneous_hs_norm,
     hs_norm,
     make_grid,
 )

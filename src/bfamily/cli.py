@@ -24,7 +24,7 @@ from .errors import (
     DegenerateProbeError,
     ExpDomainError,
 )
-from .experiments import nonuniformity_experiment, parallel_map, scaling_check
+from .experiments import nonuniformity_experiment, parallel_map
 from .io import (
     write_conservation_csv,
     write_diffeo_csv,
@@ -38,7 +38,7 @@ EXIT_CONFIG = 1
 EXIT_BLOWUP = 2
 EXIT_ACCEPTANCE = 3
 
-CONSERVE_TOL = 1e-4  # default momentum-transport tolerance, also in sweep cells
+CONSERVE_TOL = 1e-4  # default momentum-transport tolerance of conserve and sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,13 +66,21 @@ def _write_lagrangian_snapshots(out: Path, traj) -> list:
     return entries
 
 
+def _make_out(out: Path):
+    """Create --out; each command calls this only once its inputs are valid."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create --out: {err}") from err
+
+
 def _setup(cfg: RunConfig, out: Path):
-    """Build the datum, params and solver; create --out only once all are valid."""
+    """Build the datum, params and solver, then create --out."""
     grid = cfg.build_grid()
     u0 = cfg.build_field(grid)
     params = cfg.build_params()
     solver = cfg.build_solver(u0)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     return u0, params, solver
 
 
@@ -126,7 +134,7 @@ def run_conserve(cfg: RunConfig, out: Path, options):
 
 def run_nonuniform(cfg: RunConfig, out: Path, options):
     experiment = cfg.build_experiment(cfg.build_grid())
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     report = nonuniformity_experiment(experiment, jobs=options.jobs)
     write_experiment_csv(out / "report.csv", report)
     persistent = report.separation_persistence_ok()
@@ -151,22 +159,11 @@ def run_exp(cfg: RunConfig, out: Path, options):
     return EXIT_OK, params, solver, {**fields, "snapshot": "phi.csv"}
 
 
-def run_scalecheck(cfg: RunConfig, out: Path, options):
-    u0, params, solver = _setup(cfg, out)
-    lam = cfg["experiment.lambda"]
-    residual = scaling_check(u0, lam, params, solver)
-    fields = {"residual": residual, "scale": lam}
-    if options.tol is not None and residual > options.tol:
-        return EXIT_ACCEPTANCE, params, solver, fields
-    return EXIT_OK, params, solver, fields
-
-
 _RUNNERS = {
     "solve": run_solve,
     "conserve": run_conserve,
     "nonuniform": run_nonuniform,
     "exp": run_exp,
-    "scalecheck": run_scalecheck,
 }
 
 
@@ -204,8 +201,6 @@ def _exit_code(run, *args) -> int:
 
 def _run_cell(payload) -> int:
     cfg, out_dir, formulation, tol = payload
-    if cfg.command == "conserve" and tol is None:
-        tol = CONSERVE_TOL
     options = argparse.Namespace(formulation=formulation, tol=tol, jobs=1)
     return _exit_code(_run, cfg, Path(out_dir), options)
 
@@ -224,7 +219,7 @@ def run_sweep(cfg: RunConfig, out: Path, jobs: int, formulation: str, tol) -> in
     names = [cell[0] for cell in cells]
     if clash := [name for i, name in enumerate(names) if name in names[:i]]:
         raise ConfigError(f"two sweep.b values share the cell name '{clash[0]}'")
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
 
     # a cell whose manifest exists finished in an earlier run and is skipped
     pending = [c for c in cells if not (out / c[0] / "manifest.json").exists()]
@@ -281,17 +276,13 @@ def build_parser() -> _Parser:
     p_exp = sub.add_parser("exp", help="evaluate the exponential map at T = 1")
     common(p_exp)
 
-    p_scale = sub.add_parser("scalecheck", help="time-amplitude scaling residual")
-    common(p_scale)
-    p_scale.add_argument("--tol", type=_tolerance, default=None)
-
     p_sweep = sub.add_parser("sweep", help="cartesian parameter sweep")
     common(p_sweep)
     p_sweep.add_argument("--jobs", type=_jobs, default=1)
     p_sweep.add_argument(
         "--formulation", choices=("eulerian", "lagrangian"), default="eulerian"
     )
-    p_sweep.add_argument("--tol", type=_tolerance, default=None)
+    p_sweep.add_argument("--tol", type=_tolerance, default=CONSERVE_TOL)
     return parser
 
 

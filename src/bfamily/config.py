@@ -51,8 +51,6 @@ _EXPERIMENT_KEYS = {
     "experiment.eps_dexp": ("float", 0.05),
 }
 
-_SCALECHECK_KEYS = {"experiment.lambda": ("float", 2.0)}
-
 _SWEEP_KEYS = {
     "sweep.command": ("str", None),
     "sweep.b": ("float_list", None),
@@ -124,8 +122,6 @@ def _schema_for(command: str, pairs) -> dict:
     if command == "nonuniform":
         add_family("probe")
         schema.update(_EXPERIMENT_KEYS)
-    elif command == "scalecheck":
-        schema.update(_SCALECHECK_KEYS)
     return schema
 
 
@@ -258,7 +254,7 @@ def _validating():
 def load_config(path, command: str) -> RunConfig:
     try:
         text = Path(path).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config: {err}") from err
     return parse_config(text, command)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .diffeo import Diffeomorphism, compose_field, invert
 from .dynamics import BParams, Trajectory, transported_momentum
-from .spectral import Field, derivative, hs_norm, support_indices
+from .spectral import Field, derivative, hs_norm
 
 
 @dataclass(eq=False)
@@ -68,16 +68,3 @@ def pushforward_reconstruct(y0: Field, phi: Diffeomorphism, b: float) -> Field:
     """Time-one momentum predicted from the flow alone: (y0/phi_x^b) o phi^{-1}."""
     weighted = Field(y0.grid, y0.values / phi.phi_x ** float(b))
     return compose_field(weighted, invert(phi))
-
-
-def disjoint_support_ratio(f: Field, g: Field, s: float) -> float:
-    """||f+g||_s^2 / (||f||_s^2 + ||g||_s^2) for disjointly supported inputs."""
-    f._check_same_grid(g)
-    supp_f = set(support_indices(f.values).tolist())
-    supp_g = set(support_indices(g.values).tolist())
-    if supp_f & supp_g:
-        raise ValueError("supports overlap")
-    denom = hs_norm(f, s) ** 2 + hs_norm(g, s) ** 2
-    if denom == 0.0:
-        return 1.0
-    return hs_norm(f + g, s) ** 2 / denom

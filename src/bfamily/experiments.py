@@ -142,25 +142,6 @@ def time_one_map(u0: Field, params: BParams, config: SolverConfig) -> Field:
     return traj.final_state
 
 
-def scaling_check(u0: Field, lam: float, params: BParams, config: SolverConfig) -> float:
-    """H^s residual of the symmetry u -> lam u(x, lam t).
-
-    Runs the base solution to time T = config.T with step dt and the
-    amplified datum lam*u0 to time T/lam with step dt/lam, then compares.
-    """
-    base = solve_eulerian(u0, params, config)
-    scaled = solve_eulerian(
-        lam * u0, params, replace(config, T=config.T / lam, dt=config.dt / lam)
-    )
-    for traj, label in ((base, "base"), (scaled, "scaled")):
-        if traj.termination != COMPLETED:
-            raise SolverError(
-                f"{label} run terminated with {traj.termination}",
-                time=float(traj.times[-1]),
-            )
-    return hs_norm(scaled.final_state - lam * base.final_state, params.s)
-
-
 def _resolved_row(payload) -> ExperimentRow:
     """One n of the construction: two time-one maps, two flows, pushforwards."""
     cfg, n, r_n, x0_est, i0, l_est = payload

@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import FieldError, GridError
 
-SUPPORT_RTOL = 1e-14  # relative threshold for numerical support detection
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -155,18 +153,3 @@ def derivative(f: Field, k: int) -> Field:
 def hs_norm(f: Field, s: float) -> float:
     """Sobolev H^s norm: sqrt(sum (1+xi^2)^s |c_k|^2); s = 0 is the L^2 norm."""
     return f.grid.norm(f.grid.rfft(f.values), s)
-
-
-def homogeneous_hs_norm(f: Field, s: float) -> float:
-    """Homogeneous seminorm sqrt(sum_{k != 0} |xi_k|^{2s} |c_k|^2)."""
-    g = f.grid
-    power = g.weights[1:] * np.abs(g.rfft(f.values)[1:]) ** 2
-    return float(np.sqrt(np.sum(g.xi[1:] ** (2.0 * s) * power)))
-
-
-def support_indices(values: np.ndarray) -> np.ndarray:
-    """Indices where |values| exceeds the relative support threshold."""
-    peak = np.max(np.abs(values))
-    if peak == 0.0:
-        return np.array([], dtype=int)
-    return np.nonzero(np.abs(values) > SUPPORT_RTOL * peak)[0]

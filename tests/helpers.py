@@ -1,14 +1,32 @@
-"""Shared helpers and reference oracles for the test suite."""
+"""Shared helpers and reference oracles for the test suite.
+
+The oracles are identities the package itself does not compute: the
+Helmholtz inverse, the dealiased product, the homogeneous H^s seminorm and
+its FFT-free Slobodeckij counterpart, numerical support and the
+disjoint-support ratio, the time-amplitude scaling residual, and the flow
+integrated from a stored velocity.
+"""
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from bfamily.diffeo import Diffeomorphism, evaluate_field, identity
-from bfamily.dynamics import SprayState, Trajectory
-from bfamily.spectral import SUPPORT_RTOL, Field, support_indices
+from bfamily.dynamics import (
+    COMPLETED,
+    BParams,
+    SolverConfig,
+    SprayState,
+    Trajectory,
+    solve_eulerian,
+)
+from bfamily.errors import SolverError
+from bfamily.spectral import Field, hs_norm
+
+SUPPORT_RTOL = 1e-14  # relative threshold for numerical support detection
 
 GOLDEN = Path(__file__).parent / "golden" / "solve_hashes.json"
 
@@ -63,6 +81,53 @@ def dealiased_product(f: Field, h: Field) -> Field:
     g = f.grid
     ft, ht = g.truncated(g.rfft(f.values)), g.truncated(g.rfft(h.values))
     return Field(g, g.irfft(g.keep * g.rfft(ft * ht)))
+
+
+def homogeneous_hs_norm(f: Field, s: float) -> float:
+    """Homogeneous seminorm sqrt(sum_{k != 0} |xi_k|^{2s} |c_k|^2)."""
+    g = f.grid
+    power = g.weights[1:] * np.abs(g.rfft(f.values)[1:]) ** 2
+    return float(np.sqrt(np.sum(g.xi[1:] ** (2.0 * s) * power)))
+
+
+def support_indices(values: np.ndarray) -> np.ndarray:
+    """Indices where |values| exceeds the relative support threshold."""
+    peak = np.max(np.abs(values))
+    if peak == 0.0:
+        return np.array([], dtype=int)
+    return np.nonzero(np.abs(values) > SUPPORT_RTOL * peak)[0]
+
+
+def disjoint_support_ratio(f: Field, g: Field, s: float) -> float:
+    """||f+g||_s^2 / (||f||_s^2 + ||g||_s^2) for disjointly supported inputs."""
+    f._check_same_grid(g)
+    supp_f = set(support_indices(f.values).tolist())
+    supp_g = set(support_indices(g.values).tolist())
+    if supp_f & supp_g:
+        raise ValueError("supports overlap")
+    denom = hs_norm(f, s) ** 2 + hs_norm(g, s) ** 2
+    if denom == 0.0:
+        return 1.0
+    return hs_norm(f + g, s) ** 2 / denom
+
+
+def scaling_check(u0: Field, lam: float, params: BParams, config: SolverConfig) -> float:
+    """H^s residual of the symmetry u -> lam u(x, lam t).
+
+    Runs the base solution to time T = config.T with step dt and the
+    amplified datum lam*u0 to time T/lam with step dt/lam, then compares.
+    """
+    base = solve_eulerian(u0, params, config)
+    scaled = solve_eulerian(
+        lam * u0, params, replace(config, T=config.T / lam, dt=config.dt / lam)
+    )
+    for traj, label in ((base, "base"), (scaled, "scaled")):
+        if traj.termination != COMPLETED:
+            raise SolverError(
+                f"{label} run terminated with {traj.termination}",
+                time=float(traj.times[-1]),
+            )
+    return hs_norm(scaled.final_state - lam * base.final_state, params.s)
 
 
 def slobodeckij_seminorm(f: Field, lam: float) -> float:

@@ -7,12 +7,18 @@ every tolerance is pinned here, nothing is calibrated at run time.
 
 import numpy as np
 import pytest
-from helpers import FAST_SOLVE, check_golden, tree_digest
+from helpers import (
+    FAST_SOLVE,
+    check_golden,
+    disjoint_support_ratio,
+    homogeneous_hs_norm,
+    scaling_check,
+    tree_digest,
+)
 
 from bfamily.cli import main as cli_main
 from bfamily.diagnostics import (
     conservation_residual,
-    disjoint_support_ratio,
     momentum,
     pushforward_reconstruct,
 )
@@ -31,9 +37,8 @@ from bfamily.experiments import (
     build_bump,
     estimate_probe_geometry,
     nonuniformity_experiment,
-    scaling_check,
 )
-from bfamily.spectral import Field, derivative, homogeneous_hs_norm, hs_norm, make_grid
+from bfamily.spectral import Field, derivative, hs_norm, make_grid
 
 S = 2.0
 L = 20.0

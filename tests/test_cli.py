@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface and its artifacts."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from helpers import FAST_SOLVE, check_golden, record_pools, tree_digest
 
-from bfamily.cli import main
+from bfamily.cli import build_parser, main
 from bfamily.io import read_diffeo_csv, read_experiment_rows, read_field_csv
 
 
@@ -21,7 +23,10 @@ def run_cli(*argv) -> int:
 
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return path
 
 
@@ -235,26 +240,6 @@ class TestExpCommand:
         assert run_cli("exp", "--config", str(cfg), "--out", str(out)) == 2
 
 
-class TestScalecheck:
-    def test_residual_recorded(self, tmp_path):
-        cfg = write_config(tmp_path, FAST_SOLVE + "experiment.lambda = 2\n")
-        out = tmp_path / "out"
-        assert run_cli("scalecheck", "--config", str(cfg), "--out", str(out)) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["residual"] <= 1e-6
-
-    def test_tolerance_gate(self, tmp_path):
-        cfg = write_config(tmp_path, FAST_SOLVE)
-        out = tmp_path / "out"
-        code = run_cli(
-            "scalecheck", "--config", str(cfg), "--out", str(out), "--tol", "0"
-        )
-        assert code in (0, 3)  # zero datum scaling could be exactly zero
-        # a nonzero datum with tol 0 must fail unless the residual is exact 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert (code == 0) == (manifest["residual"] <= 0)
-
-
 NONUNIFORM_CFG = """
 grid.L = 20
 grid.N = 512
@@ -433,10 +418,6 @@ MANIFEST_RUNS = {
     "exp-blowup": (
         ["exp"], FAST_SOLVE + "solver.min_phix = 0.999\n", 2, "exp", {"termination"}
     ),
-    "scalecheck": (
-        ["scalecheck"], FAST_SOLVE + "experiment.lambda = 2\n", 0, "scalecheck",
-        {"residual", "scale"},
-    ),
     # n = 16 is under-resolved at N = 512: a failed run still writes its manifest
     "nonuniform": (
         ["nonuniform"],
@@ -472,12 +453,10 @@ def test_every_manifest_carries_the_base_keys(tmp_path, case):
         assert manifest["solver"]["T"] == 1.0
 
 
-@pytest.mark.parametrize("command", ["solve", "conserve", "scalecheck", "exp"])
+@pytest.mark.parametrize("command", ["solve", "conserve", "exp"])
 def test_derived_dt_is_capped_at_the_marched_horizon(tmp_path, command):
     # no solver.dt, and solver.T below the derived step 1e-3
     text = FAST_SOLVE.replace("solver.dt = 0.01\n", "").replace("solver.T = 0.1", "solver.T = 1e-4")
-    if command == "scalecheck":
-        text += "experiment.lambda = 2\n"
     out = tmp_path / "out"
     assert run_cli(command, "--config", str(write_config(tmp_path, text)), "--out", str(out)) == 0
     solver = json.loads((out / "manifest.json").read_text())["solver"]
@@ -527,9 +506,6 @@ BAD_INPUTS = {
     # command-line flags after the config text
     "conserve-tol-nan": ("conserve", FAST_SOLVE, "--tol", "nan"),
     "conserve-tol-negative": ("conserve", FAST_SOLVE, "--tol", "-1"),
-    "scalecheck-tol-nan": ("scalecheck", FAST_SOLVE, "--tol", "nan"),
-    "scalecheck-tol-inf": ("scalecheck", FAST_SOLVE, "--tol", "inf"),
-    "scalecheck-tol-negative": ("scalecheck", FAST_SOLVE, "--tol", "-1"),
     "sweep-wraps-sweep": (
         "sweep",
         SWEEP_CFG.replace("sweep.command = solve", "sweep.command = sweep"),
@@ -541,6 +517,8 @@ BAD_INPUTS = {
     "sweep-without-command": ("sweep", SWEEP_CFG.replace("sweep.command = solve\n", "")),
     "sweep-jobs-zero": ("sweep", SWEEP_CFG, "--jobs", "0"),
     "nonuniform-jobs-negative": ("nonuniform", NONUNIFORM_CFG, "--jobs", "-2"),
+    "scalecheck-removed": ("scalecheck", FAST_SOLVE),
+    "non-utf8-config": ("solve", b"grid.N = 64\n\xff\xfe\n"),
 }
 
 
@@ -559,13 +537,14 @@ def test_header_only_field_csv_is_config_error(tmp_path):
     assert err.rstrip().endswith("no data rows")
 
 
-def run_fresh(tmp_path, command, text, *flags):
+def run_fresh(tmp_path, command, text, *flags, out=None):
     """Run the CLI in a fresh interpreter, so an uncaught exception shows as a
-    traceback on stderr; returns the finished process and the --out path."""
+    traceback on stderr; returns the finished process and the --out path
+    (tmp_path / "out" unless given)."""
     import bfamily
 
     cfg = write_config(tmp_path, text)
-    out = tmp_path / "out"
+    out = tmp_path / "out" if out is None else out
     env = {**os.environ, "PYTHONPATH": str(Path(bfamily.__file__).parents[1])}
     argv = [command, "--config", str(cfg), "--out", str(out), *flags]
     proc = subprocess.run(
@@ -585,6 +564,31 @@ def assert_config_error_without_output(tmp_path, command, text, *flags):
     assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
     assert not out.exists()
     return proc.stderr
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize(
+    "command, text",
+    [("solve", FAST_SOLVE), ("nonuniform", NONUNIFORM_CFG), ("sweep", SWEEP_CFG)],
+    ids=["solve", "nonuniform", "sweep"],
+)
+def test_out_blocked_by_a_file_is_config_error(tmp_path, command, text, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"not a directory\n")
+    proc, _ = run_fresh(tmp_path, command, text, out=blocker / "sub" if under else blocker)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: cannot create --out:")
+    assert proc.stderr.count("\n") == 1
+    assert blocker.read_bytes() == b"not a directory\n"
+
+
+def test_readme_usage_lists_exactly_the_subcommands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    usage = re.search(r"## Command line\n.*?```\n(.*?)```", readme, re.S).group(1)
+    listed = [line.split()[1] for line in usage.splitlines() if line.startswith("bfamily ")]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert listed == list(sub.choices)
 
 
 # No solver.dt, so the derived step 0.5 h / max|u0| gives about 3e17 (amp 1e19)

@@ -3,11 +3,10 @@ disjoint-support inequality."""
 
 import numpy as np
 import pytest
-from helpers import helmholtz_inverse
+from helpers import disjoint_support_ratio, helmholtz_inverse
 
 from bfamily.diagnostics import (
     conservation_residual,
-    disjoint_support_ratio,
     momentum,
     pushforward_reconstruct,
 )

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import record_pools
+from helpers import record_pools, scaling_check
 
 from bfamily.dynamics import BParams, SolverConfig
 from bfamily.errors import DegenerateProbeError, ExpDomainError, UnderResolvedError
@@ -13,7 +13,6 @@ from bfamily.experiments import (
     build_bump,
     estimate_probe_geometry,
     nonuniformity_experiment,
-    scaling_check,
     time_one_map,
 )
 from bfamily.spectral import Field, hs_norm, make_grid

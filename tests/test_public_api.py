@@ -9,8 +9,7 @@ import bfamily
 # laboratory identities and artifact readers only the acceptance suite and bench/ call
 ALLOWED = {
     "rhs_eulerian", "christoffel_at", "christoffel_id", "eulerian_from_lagrangian",
-    "homogeneous_hs_norm", "disjoint_support_ratio", "read_diffeo_csv",
-    "read_experiment_rows", "Field.from_function",
+    "read_diffeo_csv", "read_experiment_rows", "Field.from_function",
 }
 
 

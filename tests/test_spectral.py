@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
-from helpers import dealiased_product, helmholtz_inverse, slobodeckij_seminorm
+from helpers import (
+    dealiased_product,
+    helmholtz_inverse,
+    homogeneous_hs_norm,
+    slobodeckij_seminorm,
+)
 
 from bfamily.errors import GridError
-from bfamily.spectral import Field, derivative, homogeneous_hs_norm, hs_norm, make_grid
+from bfamily.spectral import Field, derivative, hs_norm, make_grid
 
 
 def gaussian(amp, width, center=0.0):
