@@ -28,6 +28,7 @@ from .dynamics import (
     rhs_eulerian,
     solve_eulerian,
     solve_geodesic,
+    time_one_map,
     transported_momentum,
 )
 from .experiments import (
@@ -37,7 +38,6 @@ from .experiments import (
     build_bump,
     estimate_probe_geometry,
     nonuniformity_experiment,
-    time_one_map,
 )
 from .spectral import (
     Field,

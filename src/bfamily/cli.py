@@ -1,10 +1,8 @@
 """Command-line front door: batch solvers, diagnostics, and experiments.
 
-Exit-code protocol: 0 success, 1 configuration error, 2 blow-up or other
-numerical termination, 3 acceptance-tolerance failure.  All artifacts are
-deterministic: identical configs produce identical bytes on the same
-platform.  Every command but sweep writes one manifest.json, and `_run` is
-its only writer, on the command line and in sweep cells alike.
+DESCRIPTION, which --help shows, states the exit-code protocol.  Every
+command but sweep writes one manifest.json, and `_run` is its only writer,
+on the command line and in sweep cells alike.
 """
 
 from __future__ import annotations
@@ -39,6 +37,14 @@ EXIT_BLOWUP = 2
 EXIT_ACCEPTANCE = 3
 
 CONSERVE_TOL = 1e-4  # default momentum-transport tolerance of conserve and sweep
+
+DESCRIPTION = """\
+Solve the Holm-Staley b-family on a periodic cell, in Eulerian form or as a
+geodesic flow of diffeomorphisms, and check the identities along the flow.
+Each command reads a key = value config and writes deterministic artifacts
+into --out; exp_v(1) is the last phi_*.csv of solve --formulation lagrangian
+at solver.T = 1.  Exit codes: 0 success, 1 configuration error, 2 blow-up or
+other numerical termination, 3 acceptance-tolerance failure."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,7 +94,7 @@ def _termination_code(traj) -> int:
     """EXIT_OK for a completed march; a blow-up exits 2 with one stderr line."""
     if traj.termination == COMPLETED:
         return EXIT_OK
-    print(f"blow-up: {traj.termination} at t = {traj.times[-1]:.6g}", file=sys.stderr)
+    print(f"blow-up: {traj.ending}", file=sys.stderr)
     return EXIT_BLOWUP
 
 
@@ -118,7 +124,7 @@ def run_solve(cfg: RunConfig, out: Path, options):
 def run_conserve(cfg: RunConfig, out: Path, options):
     u0, params, solver = _setup(cfg, out)
     traj = solve_geodesic(u0, params, solver)
-    report = conservation_residual(traj, params)
+    report = conservation_residual(traj)
     write_conservation_csv(out / "report.csv", report)
     ok = traj.termination == COMPLETED and report.max_residual <= options.tol
     fields = {
@@ -149,28 +155,17 @@ def run_nonuniform(cfg: RunConfig, out: Path, options):
     return code, experiment.params, experiment.solver, fields
 
 
-def run_exp(cfg: RunConfig, out: Path, options):
-    v, params, solver = _setup(cfg, out)
-    traj = solve_geodesic(v, params, solver)
-    fields = {"termination": traj.termination}
-    if code := _termination_code(traj):
-        return code, params, solver, fields
-    write_diffeo_csv(out / "phi.csv", traj.final_state.phi)
-    return EXIT_OK, params, solver, {**fields, "snapshot": "phi.csv"}
-
-
 _RUNNERS = {
     "solve": run_solve,
     "conserve": run_conserve,
     "nonuniform": run_nonuniform,
-    "exp": run_exp,
 }
 
 
 def _run(cfg: RunConfig, out: Path, options) -> int:
     """Run cfg's command and write its manifest.json: the runner's fields
     plus command, config, config_hash and the params and solver the command
-    ran with (dt may be auto-derived, and exp and nonuniform march to T = 1)."""
+    ran with (dt may be auto-derived, and nonuniform marches to T = 1)."""
     code, params, solver, fields = _RUNNERS[cfg.command](cfg, out, options)
     manifest = {
         "command": cfg.command,
@@ -252,7 +247,7 @@ def _jobs(text: str) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="bfamily", description=__doc__)
+    parser = _Parser(prog="bfamily", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -272,9 +267,6 @@ def build_parser() -> _Parser:
     p_non = sub.add_parser("nonuniform", help="shrinking-bump separation experiment")
     common(p_non)
     p_non.add_argument("--jobs", type=_jobs, default=1)
-
-    p_exp = sub.add_parser("exp", help="evaluate the exponential map at T = 1")
-    common(p_exp)
 
     p_sweep = sub.add_parser("sweep", help="cartesian parameter sweep")
     common(p_sweep)

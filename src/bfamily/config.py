@@ -194,8 +194,8 @@ class RunConfig:
     def build_solver(self, u0: Field):
         from .dynamics import SolverConfig, default_dt
 
-        # the horizon marched (exp and nonuniform march time-one maps) caps a derived dt
-        T = 1.0 if self.command in ("exp", "nonuniform") else self["solver.T"]
+        # the horizon marched (nonuniform marches time-one maps) caps a derived dt
+        T = 1.0 if self.command == "nonuniform" else self["solver.T"]
         dt = self["solver.dt"]
         with _validating():
             return SolverConfig(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffeo import Diffeomorphism, compose_field, invert
-from .dynamics import BParams, Trajectory, transported_momentum
+from .dynamics import Trajectory, transported_momentum
 from .spectral import Field, derivative, hs_norm
 
 
@@ -23,6 +23,7 @@ class ConservationReport:
     times: np.ndarray
     residual_s_minus_2: np.ndarray
     residual_sup: np.ndarray
+    relative: bool  # False when q(0) = 0 and the residuals are absolute
 
     def __post_init__(self):
         n = len(self.times)
@@ -39,12 +40,13 @@ def momentum(u: Field) -> Field:
     return u - derivative(u, 2)
 
 
-def conservation_residual(traj: Trajectory, params: BParams) -> ConservationReport:
+def conservation_residual(traj: Trajectory) -> ConservationReport:
     """Deviation of (y o phi) phi_x^b from its initial value per snapshot.
 
-    Both residuals are relative to q(0)'s norms, or absolute when q(0) = 0.
-    The t = 0 entry vanishes identically (it is compared against itself).
+    b and s are traj.params.  Residuals are relative to q(0)'s norms, or
+    absolute when q(0) = 0 (report.relative).  The t = 0 entry vanishes.
     """
+    params = traj.params
     if not traj.states or isinstance(traj.states[0], Field):
         raise TypeError("conservation check expects a Lagrangian trajectory")
     q0 = transported_momentum(traj.states[0], params.b)
@@ -61,7 +63,9 @@ def conservation_residual(traj: Trajectory, params: BParams) -> ConservationRepo
             r_s /= sup0
         res_norm.append(r_n)
         res_sup.append(r_s)
-    return ConservationReport(traj.times.copy(), np.array(res_norm), np.array(res_sup))
+    return ConservationReport(
+        traj.times.copy(), np.array(res_norm), np.array(res_sup), norm0 > 0.0
+    )
 
 
 def pushforward_reconstruct(y0: Field, phi: Diffeomorphism, b: float) -> Field:

@@ -28,8 +28,9 @@ The symmetric form at the identity is the polarization of Gamma_id(v, v).
 As y o phi = A_phi phi_t, the transported momentum (y o phi) phi_x^b is
 phi_x^(b-1) S phi_t: no inversion.
 
-Every RK4 step is one _rk4_step; _march owns the solvers' step schedule,
-finiteness check and snapshot cadence.
+_march is the only RK4 loop and builds every Trajectory: it owns the step
+schedule, finiteness check, snapshot cadence, guards and termination.  A
+solver supplies its first state, right-hand side, snapshot builder and guard.
 """
 
 from __future__ import annotations
@@ -110,6 +111,11 @@ class Trajectory:
     @property
     def final_state(self):
         return self.states[-1]
+
+    @property
+    def ending(self) -> str:
+        """'<termination> at t = <time>': every blow-up message quotes it."""
+        return f"{self.termination} at t = {self.times[-1]:.6g}"
 
 
 def default_dt(u0: Field) -> float:
@@ -280,52 +286,56 @@ def _rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _march(config: SolverConfig, y: np.ndarray, rhs):
-    """RK4 over [0, T], yielding (t, y, snapshot due) after every step.
+def _march(params: BParams, config: SolverConfig, first, y: np.ndarray, rhs, snapshot, guard):
+    """RK4 over [0, T] from y, stored as first: the solvers' only march.
 
-    Steps are dt plus at most one trailing partial step to T; a snapshot is
-    due every snapshot_stride steps and at T.  A SolverError from rhs, or a
+    Steps are dt plus at most one trailing partial step to T.  snapshot(y)
+    is stored every snapshot_stride steps, at T, and where guard =
+    (blown, termination) ends the march after a step with blown(y).  A
+    PositivityError ends it at BLOWUP_PHIX; a SolverError from rhs, or a
     state that lost finiteness, raises SolverError with the step's end time.
     """
+    blown, guard_termination = guard
+    times, states, termination = [0.0], [first], COMPLETED
     n_full = int(math.floor(config.T / config.dt + 1e-9))
     tail = config.T - n_full * config.dt
     n_steps = n_full + (tail > 1e-9 * config.T)
-    for k in range(n_steps):
-        last = k == n_steps - 1
-        dt = tail if k == n_full else config.dt
-        t = config.T if last else (k + 1) * config.dt
-        try:
-            y = _rk4_step(rhs, y, dt)
-        except SolverError as err:
-            raise SolverError(f"{err} at t = {t:.6g}", time=t) from err
-        if not np.all(np.isfinite(y)):
-            raise SolverError(f"solution lost finiteness at t = {t:.6g}", time=t)
-        yield t, y, last or (k + 1) % config.snapshot_stride == 0
+    try:
+        for k in range(n_steps):
+            last = k == n_steps - 1
+            dt = tail if k == n_full else config.dt
+            t = config.T if last else (k + 1) * config.dt
+            try:
+                y = _rk4_step(rhs, y, dt)
+            except SolverError as err:
+                raise SolverError(f"{err} at t = {t:.6g}", time=t) from err
+            if not np.all(np.isfinite(y)):
+                raise SolverError(f"solution lost finiteness at t = {t:.6g}", time=t)
+            stop = blown(y)
+            if stop or last or (k + 1) % config.snapshot_stride == 0:
+                states.append(snapshot(y))
+                times.append(t)  # only once its state exists
+            if stop:
+                termination = guard_termination
+                break
+    except PositivityError:
+        termination = BLOWUP_PHIX
+    return Trajectory(params, config, np.array(times), states, termination)
 
 
 def solve_eulerian(u0: Field, params: BParams, config: SolverConfig) -> Trajectory:
     """Classical RK4 with fixed dt on the half spectrum of u; snapshots are samples."""
     grid, rhs = u0.grid, _eulerian_rhs(u0.grid, params.b)
-    times = [0.0]
-    states = [Field(grid, u0.values)]
-    termination = COMPLETED
-    for t, spec, due in _march(config, grid.rfft(u0.values), lambda y, _: rhs(y)):
-        blown = grid.norm(spec, params.s) > config.blowup_norm_cap
-        if blown or due:
-            times.append(t)
-            states.append(Field(grid, grid.irfft(spec)))
-        if blown:
-            termination = BLOWUP_NORM
-            break
-    return Trajectory(params, config, np.array(times), states, termination)
+    guard = (lambda spec: grid.norm(spec, params.s) > config.blowup_norm_cap, BLOWUP_NORM)
+    return _march(
+        params, config, Field(grid, u0.values), grid.rfft(u0.values),
+        lambda y, _: rhs(y), lambda spec: Field(grid, grid.irfft(spec)), guard,
+    )
 
 
 def solve_geodesic(u0: Field, params: BParams, config: SolverConfig) -> Trajectory:
     """RK4 on the spectra of (displacement, phi_t); stops at the phi_x guard."""
     grid = u0.grid
-    times = [0.0]
-    states = [SprayState(identity(grid), Field(grid, u0.values))]
-    termination = COMPLETED
     gam = [None] * 4  # this step's stage values G1..G4
     prev = None  # the previous step's P1..P4
 
@@ -350,32 +360,40 @@ def solve_geodesic(u0: Field, params: BParams, config: SolverConfig) -> Trajecto
             prev = list(gam)
         return np.array([y[1], gam[stage]])
 
+    def snapshot(y):
+        disp, phit = grid.irfft(y)
+        return SprayState(Diffeomorphism(grid, Field(grid, disp)), Field(grid, phit))
+
+    guard = (
+        lambda y: np.min(1.0 + grid.irfft(grid.d1 * y[0])) < config.min_phix,
+        BLOWUP_PHIX,
+    )
+    first = SprayState(identity(grid), Field(grid, u0.values))
     y0 = grid.rfft(np.array([np.zeros(grid.n_points), u0.values]))
-    try:
-        for t, y, due in _march(config, y0, rhs):
-            blown = np.min(1.0 + grid.irfft(grid.d1 * y[0])) < config.min_phix
-            if blown or due:
-                disp, phit = grid.irfft(y)
-                phi = Diffeomorphism(grid, Field(grid, disp))
-                states.append(SprayState(phi, Field(grid, phit)))
-                times.append(t)
-            if blown:
-                termination = BLOWUP_PHIX
-                break
-    except PositivityError:
-        termination = BLOWUP_PHIX
-    return Trajectory(params, config, np.array(times), states, termination)
+    return _march(params, config, first, y0, rhs, snapshot, guard)
+
+
+def _time_one(solve, u0: Field, params: BParams, config: SolverConfig, outside: str):
+    """Final state of solve's march of u0 to T = 1; a march that ends early
+    raises ExpDomainError, the message outside followed by its ending."""
+    traj = solve(u0, params, replace(config, T=1.0))
+    if traj.termination != COMPLETED:
+        raise ExpDomainError(f"{outside} ({traj.ending})")
+    return traj.final_state
 
 
 def exp_map(v: Field, params: BParams, config: SolverConfig) -> Diffeomorphism:
     """Time-one point of the geodesic with initial velocity v at the identity."""
-    traj = solve_geodesic(v, params, replace(config, T=1.0))
-    if traj.termination != COMPLETED:
-        raise ExpDomainError(
-            f"initial velocity outside the exp domain ({traj.termination} "
-            f"at t = {traj.times[-1]:.6g})"
-        )
-    return traj.final_state.phi
+    return _time_one(
+        solve_geodesic, v, params, config, "initial velocity outside the exp domain"
+    ).phi
+
+
+def time_one_map(u0: Field, params: BParams, config: SolverConfig) -> Field:
+    """u0 -> u(1) by the Eulerian solver; blow-up means u0 is outside U."""
+    return _time_one(
+        solve_eulerian, u0, params, config, "initial datum outside the time-one existence set"
+    )
 
 
 def dexp(

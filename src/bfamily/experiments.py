@@ -10,19 +10,12 @@ intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import momentum, pushforward_reconstruct
-from .dynamics import (
-    COMPLETED,
-    BParams,
-    SolverConfig,
-    dexp,
-    exp_map,
-    solve_eulerian,
-)
+from .dynamics import BParams, SolverConfig, dexp, exp_map, time_one_map
 from .errors import (
     DegenerateProbeError,
     ExpDomainError,
@@ -129,17 +122,6 @@ def estimate_probe_geometry(cfg: NonUniformityConfig):
     phi = exp_map(cfg.u0, cfg.params, cfg.solver)
     L_est = 1.5 * float(np.max(phi.phi_x))
     return x0_est, m_est, L_est
-
-
-def time_one_map(u0: Field, params: BParams, config: SolverConfig) -> Field:
-    """u0 -> u(1) by the Eulerian solver; blow-up means u0 is outside U."""
-    traj = solve_eulerian(u0, params, replace(config, T=1.0))
-    if traj.termination != COMPLETED:
-        raise ExpDomainError(
-            f"initial datum outside the time-one existence set "
-            f"({traj.termination} at t = {traj.times[-1]:.6g})"
-        )
-    return traj.final_state
 
 
 def _resolved_row(payload) -> ExperimentRow:

@@ -74,10 +74,11 @@ def read_diffeo_csv(path) -> Diffeomorphism:
 
 def write_conservation_csv(path, report: ConservationReport):
     lines = ["t,res_hs2,res_sup,relative"]
+    relative = int(report.relative)
     for t, rn, rs in zip(
         report.times, report.residual_s_minus_2, report.residual_sup
     ):
-        lines.append(f"{_fmt(t)},{_fmt(rn)},{_fmt(rs)},1")  # residuals are relative
+        lines.append(f"{_fmt(t)},{_fmt(rn)},{_fmt(rs)},{relative}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -88,7 +88,7 @@ def test_criterion_01_conservation_law():
         cfg = SolverConfig(dt=dt, T=1.0, snapshot_stride=10**9)
         traj = solve_geodesic(u0, params, cfg)
         assert traj.termination == "completed"
-        return conservation_residual(traj, params).residual_s_minus_2[-1]
+        return conservation_residual(traj).residual_s_minus_2[-1]
 
     residuals = {b: final_residual(b, 1e-3) for b in (0.0, 2.0, 3.0)}
     # at dt = 1e-3 the residual sits on the roundoff floor, so the

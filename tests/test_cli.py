@@ -14,6 +14,8 @@ import pytest
 from helpers import FAST_SOLVE, check_golden, record_pools, tree_digest
 
 from bfamily.cli import build_parser, main
+from bfamily.config import parse_config
+from bfamily.dynamics import exp_map, solve_geodesic
 from bfamily.io import read_diffeo_csv, read_experiment_rows, read_field_csv
 
 
@@ -100,14 +102,20 @@ class TestFieldFileInput:
 
 class TestSolve:
     def test_zero_datum_zero_snapshots(self, tmp_path):
+        # a zero datum stays zero, and its flow is the identity at every snapshot
         cfg = write_config(tmp_path, FAST_SOLVE.replace("initial.amp = 0.3", "initial.amp = 0"))
-        out = tmp_path / "out"
-        assert run_cli("solve", "--config", str(cfg), "--out", str(out)) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["termination"] == "completed"
-        for entry in manifest["snapshots"]:
-            field = read_field_csv(out / entry["files"][0])
-            assert np.max(np.abs(field.values)) == 0.0
+        for formulation in ("eulerian", "lagrangian"):
+            out = tmp_path / formulation
+            argv = ["--config", str(cfg), "--out", str(out), "--formulation", formulation]
+            assert run_cli("solve", *argv) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["termination"] == "completed"
+            for entry in manifest["snapshots"]:
+                if formulation == "lagrangian":
+                    phi = read_diffeo_csv(out / entry["files"][0])
+                    assert np.max(np.abs(phi.displacement.values)) == 0.0
+                field = read_field_csv(out / entry["files"][-1])
+                assert np.max(np.abs(field.values)) == 0.0
 
     def test_blowup_guard_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, FAST_SOLVE + "solver.norm_cap = 1e-4\n")
@@ -129,6 +137,31 @@ class TestSolve:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("run failed:")
         assert "did not converge" in lines[0] and "t = 0.01" in lines[0]
+
+    def test_guard_blowup_line_quotes_the_ending(self, tmp_path, capsys):
+        text = FAST_SOLVE + "solver.min_phix = 0.999\n"
+        cfg = write_config(tmp_path, text)
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "o"), "--formulation", "lagrangian"]
+        assert run_cli("solve", *argv) == 2
+        run = parse_config(text, "solve")
+        u0 = run.build_field(run.build_grid())
+        traj = solve_geodesic(u0, run.build_params(), run.build_solver(u0))
+        assert traj.ending == "blowup_phix at t = 0.01"
+        assert capsys.readouterr().err == f"blow-up: {traj.ending}\n"
+
+    def test_last_lagrangian_snapshot_at_t_one_is_exp(self, tmp_path):
+        # exp_v(1) is the last phi_*.csv of a Lagrangian solve to solver.T = 1
+        text = FAST_SOLVE.replace("solver.T = 0.1", "solver.T = 1")
+        out = tmp_path / "out"
+        argv = ["--config", str(write_config(tmp_path, text)), "--out", str(out)]
+        assert run_cli("solve", *argv, "--formulation", "lagrangian") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["times"][-1] == 1.0
+        last = read_diffeo_csv(out / manifest["snapshots"][-1]["files"][0])
+        run = parse_config(text, "solve")
+        u0 = run.build_field(run.build_grid())
+        phi = exp_map(u0, run.build_params(), run.build_solver(u0))
+        assert last.displacement.values.tobytes() == phi.displacement.values.tobytes()
 
     def test_lagrangian_snapshots(self, tmp_path):
         cfg = write_config(tmp_path, FAST_SOLVE)
@@ -198,7 +231,8 @@ class TestConserve:
         report = (out / "report.csv").read_text().strip().split("\n")
         assert report[0] == "t,res_hs2,res_sup,relative"
         assert all(line.split(",")[1] == "0" for line in report[1:])
-        assert all(line.endswith(",1") for line in report[1:])
+        # q(0) = 0, so the residuals are absolute, not relative
+        assert all(line.endswith(",0") for line in report[1:])
 
     def test_gaussian_passes_default_tolerance(self, tmp_path):
         text = FAST_SOLVE.replace("grid.N = 64", "grid.N = 256").replace(
@@ -209,6 +243,8 @@ class TestConserve:
         assert run_cli("conserve", "--config", str(cfg), "--out", str(out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["max_residual"] <= 1e-4
+        report = (out / "report.csv").read_text().strip().split("\n")
+        assert all(line.endswith(",1") for line in report[1:])
 
     def test_tight_tolerance_fails_exit_three(self, tmp_path):
         text = FAST_SOLVE.replace("grid.N = 64", "grid.N = 256").replace(
@@ -222,22 +258,6 @@ class TestConserve:
             "conserve", "--config", str(cfg), "--out", str(out), "--tol", "1e-15"
         )
         assert code == 3
-
-
-class TestExpCommand:
-    def test_zero_datum_identity(self, tmp_path):
-        cfg = write_config(
-            tmp_path, FAST_SOLVE.replace("initial.amp = 0.3", "initial.amp = 0")
-        )
-        out = tmp_path / "out"
-        assert run_cli("exp", "--config", str(cfg), "--out", str(out)) == 0
-        phi = read_diffeo_csv(out / "phi.csv")
-        assert np.max(np.abs(phi.displacement.values)) == 0.0
-
-    def test_outside_domain_exit_two(self, tmp_path):
-        cfg = write_config(tmp_path, FAST_SOLVE + "solver.min_phix = 0.999\n")
-        out = tmp_path / "out"
-        assert run_cli("exp", "--config", str(cfg), "--out", str(out)) == 2
 
 
 NONUNIFORM_CFG = """
@@ -414,9 +434,12 @@ MANIFEST_RUNS = {
         ["solve", "--formulation", "lagrangian"], FAST_SOLVE, 0, "solve", SOLVE_FIELDS
     ),
     "conserve": (["conserve"], FAST_SOLVE, 0, "conserve", CONSERVE_FIELDS),
-    "exp": (["exp"], FAST_SOLVE, 0, "exp", {"termination", "snapshot"}),
-    "exp-blowup": (
-        ["exp"], FAST_SOLVE + "solver.min_phix = 0.999\n", 2, "exp", {"termination"}
+    "solve-lagrangian-blowup": (
+        ["solve", "--formulation", "lagrangian"],
+        FAST_SOLVE + "solver.min_phix = 0.999\n",
+        2,
+        "solve",
+        SOLVE_FIELDS,
     ),
     # n = 16 is under-resolved at N = 512: a failed run still writes its manifest
     "nonuniform": (
@@ -449,21 +472,20 @@ def test_every_manifest_carries_the_base_keys(tmp_path, case):
     assert manifest["config_hash"] == hashlib.sha256(manifest["config"].encode()).hexdigest()
     assert manifest["params"] == {"b": 2.0, "s": 2.0}
     assert manifest["solver"]["dt"] == (0.005 if command == "nonuniform" else 0.01)
-    if command in ("exp", "nonuniform"):  # both march to T = 1, not to solver.T
+    if command == "nonuniform":  # it marches time-one maps, not to solver.T
         assert manifest["solver"]["T"] == 1.0
+    if "termination" in fields:
+        assert manifest["termination"] == ("completed" if code == 0 else "blowup_phix")
 
 
-@pytest.mark.parametrize("command", ["solve", "conserve", "exp"])
+@pytest.mark.parametrize("command", ["solve", "conserve"])
 def test_derived_dt_is_capped_at_the_marched_horizon(tmp_path, command):
     # no solver.dt, and solver.T below the derived step 1e-3
     text = FAST_SOLVE.replace("solver.dt = 0.01\n", "").replace("solver.T = 0.1", "solver.T = 1e-4")
     out = tmp_path / "out"
     assert run_cli(command, "--config", str(write_config(tmp_path, text)), "--out", str(out)) == 0
     solver = json.loads((out / "manifest.json").read_text())["solver"]
-    if command == "exp":  # exp marches to T = 1, so the derived step stands
-        assert solver["T"] == 1.0 and solver["dt"] == 1e-3
-    else:
-        assert solver["T"] == solver["dt"] == 1e-4
+    assert solver["T"] == solver["dt"] == 1e-4
 
 
 def _bump(center, radius, n):
@@ -518,6 +540,11 @@ BAD_INPUTS = {
     "sweep-jobs-zero": ("sweep", SWEEP_CFG, "--jobs", "0"),
     "nonuniform-jobs-negative": ("nonuniform", NONUNIFORM_CFG, "--jobs", "-2"),
     "scalecheck-removed": ("scalecheck", FAST_SOLVE),
+    "exp-removed": ("exp", FAST_SOLVE),
+    "sweep-wraps-exp": (
+        "sweep",
+        SWEEP_CFG.replace("sweep.command = solve", "sweep.command = exp"),
+    ),
     "non-utf8-config": ("solve", b"grid.N = 64\n\xff\xfe\n"),
 }
 
@@ -583,6 +610,21 @@ def test_out_blocked_by_a_file_is_config_error(tmp_path, command, text, under):
     assert blocker.read_bytes() == b"not a directory\n"
 
 
+def test_help_states_the_exit_codes_without_developer_notes():
+    import bfamily
+
+    env = {**os.environ, "PYTHONPATH": str(Path(bfamily.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bfamily.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    text = " ".join(proc.stdout.split())  # undo argparse's line wrapping
+    for code in ("0 success", "1 configuration error", "2 blow-up", "3 acceptance"):
+        assert code in text
+    assert "_run" not in proc.stdout
+
+
 def test_readme_usage_lists_exactly_the_subcommands():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     usage = re.search(r"## Command line\n.*?```\n(.*?)```", readme, re.S).group(1)
@@ -599,7 +641,6 @@ HUGE_RUNS = {
     "solve-1e25": (["solve"], "1e25"),
     "solve-lagrangian-1e19": (["solve", "--formulation", "lagrangian"], "1e19"),
     "conserve-1e19": (["conserve"], "1e19"),
-    "exp-1e19": (["exp"], "1e19"),
 }
 
 

@@ -82,17 +82,19 @@ class TestConservationResidual:
         u0 = gaussian_field(g)
         params = BParams(b=2.0, s=S)
         traj = solve_geodesic(u0, params, SolverConfig(dt=0.05, T=0.2))
-        report = conservation_residual(traj, params)
+        report = conservation_residual(traj)
         assert report.residual_s_minus_2[0] == 0.0
         assert report.residual_sup[0] == 0.0
+        assert report.relative
 
     def test_zero_datum_all_zero(self):
         g = make_grid(20, 64)
         params = BParams(b=2.0, s=S)
         traj = solve_geodesic(Field.zeros(g), params, SolverConfig(dt=0.05, T=0.2))
-        report = conservation_residual(traj, params)
+        report = conservation_residual(traj)
         assert np.all(report.residual_s_minus_2 == 0.0)
         assert np.all(report.residual_sup == 0.0)
+        assert not report.relative  # q(0) = 0: the residuals are absolute
 
     def test_small_along_geodesic_and_fourth_order(self):
         # the identity holds analytically: the residual is discretization
@@ -104,7 +106,7 @@ class TestConservationResidual:
         def final_residual(dt):
             cfg = SolverConfig(dt=dt, T=1.0, snapshot_stride=10**9)
             traj = solve_geodesic(u0, params, cfg)
-            return conservation_residual(traj, params).residual_s_minus_2[-1]
+            return conservation_residual(traj).residual_s_minus_2[-1]
 
         fine = final_residual(1e-3)
         assert fine <= 1e-5
@@ -120,7 +122,7 @@ class TestConservationResidual:
             raise AssertionError("conservation check evaluated off the grid")
 
         monkeypatch.setattr("bfamily.diffeo.evaluate_field", off_grid)
-        report = conservation_residual(traj, params)
+        report = conservation_residual(traj)
         assert 0.0 < report.max_residual <= 1e-5
 
     def test_rejects_eulerian_trajectory(self):
@@ -128,7 +130,7 @@ class TestConservationResidual:
         params = BParams(b=2.0, s=S)
         traj = solve_eulerian(Field.zeros(g), params, SolverConfig(dt=0.05, T=0.2))
         with pytest.raises(TypeError):
-            conservation_residual(traj, params)
+            conservation_residual(traj)
 
 
 class TestPushforwardReconstruct:

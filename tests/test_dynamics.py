@@ -540,8 +540,12 @@ class TestExpMap:
     def test_blowup_propagates_as_domain_error(self):
         g = make_grid(20, 128)
         v = gaussian_field(g, amp=1.0)
-        with pytest.raises(ExpDomainError):
-            exp_map(v, BParams(b=2.0, s=S), SolverConfig(dt=0.01, T=1.0, min_phix=0.999))
+        params, cfg = BParams(b=2.0, s=S), SolverConfig(dt=0.01, T=1.0, min_phix=0.999)
+        with pytest.raises(ExpDomainError) as err:
+            exp_map(v, params, cfg)
+        ending = solve_geodesic(v, params, cfg).ending
+        assert ending == "blowup_phix at t = 0.01"
+        assert str(err.value) == f"initial velocity outside the exp domain ({ending})"
 
 
 class TestDexp:

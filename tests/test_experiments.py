@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from helpers import record_pools, scaling_check
 
-from bfamily.dynamics import BParams, SolverConfig
+from bfamily.dynamics import BParams, SolverConfig, solve_eulerian, time_one_map
 from bfamily.errors import DegenerateProbeError, ExpDomainError, UnderResolvedError
 from bfamily.experiments import (
     NonUniformityConfig,
     build_bump,
     estimate_probe_geometry,
     nonuniformity_experiment,
-    time_one_map,
 )
 from bfamily.spectral import Field, hs_norm, make_grid
 
@@ -136,11 +135,15 @@ class TestTimeOneMap:
     def test_blowup_is_outside_domain(self):
         g = make_grid(20, 256)
         u0 = gaussian_field(g, 0.5, 2.0)
-        with pytest.raises(ExpDomainError):
-            time_one_map(
-                u0, BParams(b=2.0, s=S),
-                SolverConfig(dt=0.01, T=1.0, blowup_norm_cap=1e-3),
-            )
+        params = BParams(b=2.0, s=S)
+        cfg = SolverConfig(dt=0.01, T=1.0, blowup_norm_cap=1e-3)
+        with pytest.raises(ExpDomainError) as err:
+            time_one_map(u0, params, cfg)
+        ending = solve_eulerian(u0, params, cfg).ending
+        assert ending == "blowup_norm at t = 0.01"
+        assert str(err.value) == (
+            f"initial datum outside the time-one existence set ({ending})"
+        )
 
     def test_continuity_at_desk_scale(self):
         # the time-one map IS continuous: shrinking perturbations of fixed

@@ -22,7 +22,9 @@ def referenced_names(node) -> Counter:
     )
 
 
-def test_every_public_function_has_a_caller_in_src():
+def public_callers() -> dict:
+    """Qualified name of each public function and method in src/ -> whether
+    anything in src/ outside its own definition references it."""
     src = Path(bfamily.__file__).parent
     trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
     references = sum(map(referenced_names, trees), Counter())
@@ -36,11 +38,23 @@ def test_every_public_function_has_a_caller_in_src():
                 for item in node.body
                 if isinstance(item, ast.FunctionDef)
             )
-    uncalled = sorted(
-        qualified
+    return {
+        qualified: references[name] != referenced_names(node)[name]
         for qualified, name, node in defined
         if not name.startswith("_")
-        and qualified not in ALLOWED
-        and references[name] == referenced_names(node)[name]
+    }
+
+
+def test_every_public_function_has_a_caller_in_src():
+    uncalled = sorted(
+        name for name, called in public_callers().items()
+        if not called and name not in ALLOWED
     )
     assert not uncalled, f"public names nothing in src/ references: {uncalled}"
+
+
+def test_allowed_names_are_defined_and_still_uncalled():
+    # a name that gained a caller in src/, or went away, leaves ALLOWED
+    callers = public_callers()
+    stale = sorted(name for name in ALLOWED if callers.get(name, True))
+    assert not stale, f"ALLOWED names that are gone or now have a caller: {stale}"
