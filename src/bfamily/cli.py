@@ -1,15 +1,19 @@
 """Command-line front door: batch solvers, diagnostics, and experiments.
 
-DESCRIPTION, which --help shows, states the exit-code protocol.  Every
-command but sweep writes one manifest.json, and `_run` is its only writer,
-on the command line and in sweep cells alike.
+`_COMMANDS` is the one place where the commands and their flags are
+declared; `_FLAGS` declares each flag once.  DESCRIPTION, which --help
+shows, states the exit-code protocol.  Every command but sweep writes one
+manifest.json, its exit code included, and `_run` is its only writer, on
+the command line and in sweep cells alike.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from pathlib import Path
 
@@ -72,8 +76,14 @@ def _write_lagrangian_snapshots(out: Path, traj) -> list:
     return entries
 
 
-def _make_out(out: Path):
-    """Create --out; each command calls this only once its inputs are valid."""
+@contextmanager
+def _inputs(out: Path):
+    """Build and check a command's inputs, reporting a ValueError as a
+    ConfigError; create --out only once they are valid."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
@@ -82,11 +92,11 @@ def _make_out(out: Path):
 
 def _setup(cfg: RunConfig, out: Path):
     """Build the datum, params and solver, then create --out."""
-    grid = cfg.build_grid()
-    u0 = cfg.build_field(grid)
-    params = cfg.build_params()
-    solver = cfg.build_solver(u0)
-    _make_out(out)
+    with _inputs(out):
+        grid = cfg.build_grid()
+        u0 = cfg.build_field(grid)
+        params = cfg.build_params()
+        solver = cfg.build_solver(u0)
     return u0, params, solver
 
 
@@ -96,11 +106,6 @@ def _termination_code(traj) -> int:
         return EXIT_OK
     print(f"blow-up: {traj.ending}", file=sys.stderr)
     return EXIT_BLOWUP
-
-
-# Each runner takes (cfg, out, options), where options carries the parsed
-# flags (formulation, tol, jobs) of the command line or of a sweep cell, and
-# returns (exit code, params, solver, the command's manifest fields).
 
 
 def run_solve(cfg: RunConfig, out: Path, options):
@@ -133,15 +138,18 @@ def run_conserve(cfg: RunConfig, out: Path, options):
         "max_residual": report.max_residual,
         "passed": ok,
     }
-    if code := _termination_code(traj):
-        return code, params, solver, fields
-    return (EXIT_OK if ok else EXIT_ACCEPTANCE), params, solver, fields
+    code = _termination_code(traj) or (EXIT_OK if ok else EXIT_ACCEPTANCE)
+    return code, params, solver, fields
 
 
 def run_nonuniform(cfg: RunConfig, out: Path, options):
-    experiment = cfg.build_experiment(cfg.build_grid())
-    _make_out(out)
-    report = nonuniformity_experiment(experiment, jobs=options.jobs)
+    with _inputs(out):
+        experiment = cfg.build_experiment(cfg.build_grid())
+    try:
+        report = nonuniformity_experiment(experiment, jobs=options.jobs)
+    except ExpDomainError as err:
+        print(f"blow-up: {err}", file=sys.stderr)
+        return EXIT_BLOWUP, experiment.params, experiment.solver, {"blowup": str(err)}
     write_experiment_csv(out / "report.csv", report)
     persistent = report.separation_persistence_ok()
     fields = {
@@ -155,22 +163,17 @@ def run_nonuniform(cfg: RunConfig, out: Path, options):
     return code, experiment.params, experiment.solver, fields
 
 
-_RUNNERS = {
-    "solve": run_solve,
-    "conserve": run_conserve,
-    "nonuniform": run_nonuniform,
-}
-
-
 def _run(cfg: RunConfig, out: Path, options) -> int:
     """Run cfg's command and write its manifest.json: the runner's fields
     plus command, config, config_hash and the params and solver the command
-    ran with (dt may be auto-derived, and nonuniform marches to T = 1)."""
-    code, params, solver, fields = _RUNNERS[cfg.command](cfg, out, options)
+    ran with (dt may be auto-derived, and nonuniform marches to T = 1), and
+    the exit code."""
+    code, params, solver, fields = _COMMANDS[cfg.command][0](cfg, out, options)
     manifest = {
         "command": cfg.command,
         "config": cfg.canonical_text(),
         "config_hash": cfg.config_hash(),
+        "exit_code": code,
         "params": asdict(params),
         "solver": asdict(solver),
         **fields,
@@ -186,43 +189,48 @@ def _exit_code(run, *args) -> int:
     except (ConfigError, DegenerateProbeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except ExpDomainError as err:
-        print(f"blow-up: {err}", file=sys.stderr)
-        return EXIT_BLOWUP
     except BFamilyError as err:
         print(f"run failed: {err}", file=sys.stderr)
         return EXIT_BLOWUP
 
 
 def _run_cell(payload) -> int:
-    cfg, out_dir, formulation, tol = payload
-    options = argparse.Namespace(formulation=formulation, tol=tol, jobs=1)
+    cfg, out_dir, options = payload
     return _exit_code(_run, cfg, Path(out_dir), options)
 
 
-def run_sweep(cfg: RunConfig, out: Path, jobs: int, formulation: str, tol) -> int:
+def run_sweep(cfg: RunConfig, out: Path, options) -> int:
     wrapped = cfg["sweep.command"]
-    if wrapped not in _RUNNERS:
-        raise ConfigError(f"sweep.command must be one of {sorted(_RUNNERS)}")
-    b_values = cfg["sweep.b"] or (cfg["params.b"],)
-    n_values = cfg["sweep.N"] or (cfg["grid.N"],)
-    cells = [
-        (f"b{b:g}_N{n}", b, n, sweep_cell(cfg, b, n))
-        for b in b_values
-        for n in n_values
-    ]
-    names = [cell[0] for cell in cells]
-    if clash := [name for i, name in enumerate(names) if name in names[:i]]:
-        raise ConfigError(f"two sweep.b values share the cell name '{clash[0]}'")
-    _make_out(out)
+    with _inputs(out):
+        runnable = sorted(name for name in _COMMANDS if name != "sweep")
+        if wrapped not in runnable:
+            raise ConfigError(f"sweep.command must be one of {runnable}")
+        b_values = cfg["sweep.b"] or (cfg["params.b"],)
+        n_values = cfg["sweep.N"] or (cfg["grid.N"],)
+        cells = [
+            (f"b{b:g}_N{n}", b, n, sweep_cell(cfg, b, n))
+            for b in b_values
+            for n in n_values
+        ]
+        names = [cell[0] for cell in cells]
+        if clash := [name for i, name in enumerate(names) if name in names[:i]]:
+            raise ConfigError(f"two sweep.b values share the cell name '{clash[0]}'")
 
-    # a cell whose manifest exists finished in an earlier run and is skipped
-    pending = [c for c in cells if not (out / c[0] / "manifest.json").exists()]
-    payloads = [(c[3], str(out / c[0]), formulation, tol) for c in pending]
-    codes = dict(zip([c[0] for c in pending], parallel_map(_run_cell, payloads, jobs)))
+    # a cell whose manifest records an exit code finished in an earlier run:
+    # it is skipped and reports that code; a cut-short or older manifest reruns
+    done = {}
+    for name in names:
+        with suppress(FileNotFoundError, ValueError, KeyError):
+            manifest = json.loads((out / name / "manifest.json").read_text())
+            done[name] = manifest["exit_code"]
+    pending = [c for c in cells if c[0] not in done]
+    cell_options = argparse.Namespace(**{**vars(options), "jobs": 1})
+    payloads = [(c[3], str(out / c[0]), cell_options) for c in pending]
+    ran = parallel_map(_run_cell, payloads, options.jobs)
+    codes = {**done, **dict(zip([c[0] for c in pending], ran))}
     index = [
-        {"cell": name, "b": float(b), "N": int(n), "skipped": name not in codes,
-         "exit_code": codes.get(name, EXIT_OK)}
+        {"cell": name, "b": float(b), "N": int(n), "skipped": name in done,
+         "exit_code": codes[name]}
         for name, b, n, _ in sorted(cells, key=lambda cell: cell[0])
     ]
     write_json(
@@ -246,35 +254,34 @@ def _jobs(text: str) -> int:
     return value
 
 
+# each flag once: its name -> its add_argument keywords
+_FLAGS = {
+    "formulation": {"choices": ("eulerian", "lagrangian"), "default": "eulerian"},
+    "tol": {"type": _tolerance, "default": CONSERVE_TOL},
+    "jobs": {"type": _jobs, "default": 1},
+}
+
+# Each command: its runner, its --help line and its flags, in --help order.
+# A runner takes (cfg, out, options), options being the parsed flags of the
+# command line or of a sweep cell; each but run_sweep, which writes no
+# manifest, returns (exit code, params, solver, manifest fields) to _run.
+_COMMANDS = {
+    "solve": (run_solve, "run one trajectory", ("formulation",)),
+    "conserve": (run_conserve, "momentum-transport residual check", ("tol",)),
+    "nonuniform": (run_nonuniform, "shrinking-bump separation experiment", ("jobs",)),
+    "sweep": (run_sweep, "cartesian parameter sweep", ("jobs", "formulation", "tol")),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="bfamily", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", required=True, help="path to a key = value config")
         p.add_argument("--out", required=True, help="output directory")
-
-    p_solve = sub.add_parser("solve", help="run one trajectory")
-    common(p_solve)
-    p_solve.add_argument(
-        "--formulation", choices=("eulerian", "lagrangian"), default="eulerian"
-    )
-
-    p_cons = sub.add_parser("conserve", help="momentum-transport residual check")
-    common(p_cons)
-    p_cons.add_argument("--tol", type=_tolerance, default=CONSERVE_TOL)
-
-    p_non = sub.add_parser("nonuniform", help="shrinking-bump separation experiment")
-    common(p_non)
-    p_non.add_argument("--jobs", type=_jobs, default=1)
-
-    p_sweep = sub.add_parser("sweep", help="cartesian parameter sweep")
-    common(p_sweep)
-    p_sweep.add_argument("--jobs", type=_jobs, default=1)
-    p_sweep.add_argument(
-        "--formulation", choices=("eulerian", "lagrangian"), default="eulerian"
-    )
-    p_sweep.add_argument("--tol", type=_tolerance, default=CONSERVE_TOL)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -285,10 +292,9 @@ def main(argv=None) -> int:
 def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     cfg = load_config(args.config, args.command)
-    out = Path(args.out)
     if args.command == "sweep":
-        return run_sweep(cfg, out, args.jobs, args.formulation, args.tol)
-    return _run(cfg, out, args)
+        return run_sweep(cfg, Path(args.out), args)
+    return _run(cfg, Path(args.out), args)
 
 
 if __name__ == "__main__":

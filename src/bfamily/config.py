@@ -12,13 +12,14 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .dynamics import BParams, SolverConfig, default_dt
 from .errors import ConfigError
+from .experiments import NonUniformityConfig, build_bump
 from .spectral import Field, Grid, make_grid
 
 _COMMON_KEYS = {
@@ -104,7 +105,9 @@ def _schema_for(command: str, pairs) -> dict:
     """The keys of command's config; a sweep's are those of the command it
     wraps plus the sweep.* keys."""
     if command == "sweep":
-        wrapped = pairs.get("sweep.command", (None, 0))[0]
+        if "sweep.command" not in pairs:
+            raise ConfigError("sweep requires 'sweep.command'")
+        wrapped = pairs["sweep.command"][0]
         # a sweep of sweeps gets the keys every command takes; the CLI refuses it
         inner = _schema_for(None if wrapped == "sweep" else wrapped, pairs)
         return {**inner, **_SWEEP_KEYS}
@@ -115,6 +118,8 @@ def _schema_for(command: str, pairs) -> dict:
         family, line = pairs.get(f"{prefix}.family", ("gaussian", 0))
         if family not in _FAMILY_KEYS:
             raise ConfigError(f"line {line}: unknown initial-data family '{family}'")
+        if family == "file" and f"{prefix}.path" not in pairs:
+            raise ConfigError(f"file family requires '{prefix}.path'")
         for name, spec in _FAMILY_KEYS[family].items():
             schema[f"{prefix}.{name}"] = spec
 
@@ -152,82 +157,69 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
     def build_grid(self) -> Grid:
-        with _validating():
-            return make_grid(self["grid.L"], self["grid.N"])
+        return make_grid(self["grid.L"], self["grid.N"])
 
     def build_field(self, grid: Grid, prefix: str = "initial") -> Field:
         family = self[f"{prefix}.family"]
-        with _validating():
-            if family == "gaussian":
-                amp = self[f"{prefix}.amp"]
-                width = self[f"{prefix}.width"]
-                center = self[f"{prefix}.center"]
-                return Field(grid, amp * np.exp(-(((grid.x - center) / width) ** 2)))
-            if family == "bump":
-                from .experiments import build_bump
+        if family == "gaussian":
+            amp = self[f"{prefix}.amp"]
+            width = self[f"{prefix}.width"]
+            center = self[f"{prefix}.center"]
+            return Field(grid, amp * np.exp(-(((grid.x - center) / width) ** 2)))
+        if family == "bump":
+            return build_bump(
+                self[f"{prefix}.center"],
+                self[f"{prefix}.radius"],
+                self[f"{prefix}.s_norm"],
+                self[f"{prefix}.target"],
+                grid,
+            )
+        if family == "mode":
+            k = self[f"{prefix}.k"]
+            xi = np.pi * k / grid.half_length
+            return Field(grid, self[f"{prefix}.amp"] * np.sin(xi * grid.x))
+        if family == "file":
+            from .io import read_field_csv
 
-                return build_bump(
-                    self[f"{prefix}.center"],
-                    self[f"{prefix}.radius"],
-                    self[f"{prefix}.s_norm"],
-                    self[f"{prefix}.target"],
-                    grid,
+            try:
+                field = read_field_csv(self[f"{prefix}.path"])
+            except OSError as err:
+                raise ConfigError(f"{prefix}.path: {err}") from err
+            if field.grid != grid:
+                raise ConfigError(
+                    f"{prefix}.path: field grid does not match grid.L/grid.N"
                 )
-            if family == "mode":
-                k = self[f"{prefix}.k"]
-                xi = np.pi * k / grid.half_length
-                return Field(grid, self[f"{prefix}.amp"] * np.sin(xi * grid.x))
-            if family == "file":
-                from .io import read_field_csv
-
-                try:
-                    field = read_field_csv(self[f"{prefix}.path"])
-                except OSError as err:
-                    raise ConfigError(f"{prefix}.path: {err}") from err
-                if field.grid != grid:
-                    raise ConfigError(
-                        f"{prefix}.path: field grid does not match grid.L/grid.N"
-                    )
-                return field
+            return field
         raise ConfigError(f"unknown family '{family}'")
 
-    def build_solver(self, u0: Field):
-        from .dynamics import SolverConfig, default_dt
-
+    def build_solver(self, u0: Field) -> SolverConfig:
         # the horizon marched (nonuniform marches time-one maps) caps a derived dt
         T = 1.0 if self.command == "nonuniform" else self["solver.T"]
         dt = self["solver.dt"]
-        with _validating():
-            return SolverConfig(
-                dt=min(default_dt(u0), T) if dt is None else dt,
-                T=T,
-                snapshot_stride=self["solver.stride"],
-                blowup_norm_cap=self["solver.norm_cap"],
-                min_phix=self["solver.min_phix"],
-            )
+        return SolverConfig(
+            dt=min(default_dt(u0), T) if dt is None else dt,
+            T=T,
+            snapshot_stride=self["solver.stride"],
+            blowup_norm_cap=self["solver.norm_cap"],
+            min_phix=self["solver.min_phix"],
+        )
 
-    def build_params(self):
-        from .dynamics import BParams
+    def build_params(self) -> BParams:
+        return BParams(b=self["params.b"], s=self["params.s"])
 
-        with _validating():
-            return BParams(b=self["params.b"], s=self["params.s"])
-
-    def build_experiment(self, grid: Grid):
+    def build_experiment(self, grid: Grid) -> NonUniformityConfig:
         """The nonuniform experiment: base point, probe, params and solver."""
-        from .experiments import NonUniformityConfig
-
         u0 = self.build_field(grid, "initial")
         v = self.build_field(grid, "probe")
-        with _validating():
-            return NonUniformityConfig(
-                u0=u0,
-                v=v,
-                params=self.build_params(),
-                R=self["experiment.R"],
-                n_values=self["experiment.n_values"],
-                solver=self.build_solver(u0),
-                eps_dexp=self["experiment.eps_dexp"],
-            )
+        return NonUniformityConfig(
+            u0=u0,
+            v=v,
+            params=self.build_params(),
+            R=self["experiment.R"],
+            n_values=self["experiment.n_values"],
+            solver=self.build_solver(u0),
+            eps_dexp=self["experiment.eps_dexp"],
+        )
 
 
 def sweep_cell(cfg: RunConfig, b: float, n: int) -> RunConfig:
@@ -240,15 +232,6 @@ def sweep_cell(cfg: RunConfig, b: float, n: int) -> RunConfig:
     values["params.b"] = float(b)
     values["grid.N"] = int(n)
     return RunConfig(cfg["sweep.command"], values)
-
-
-@contextmanager
-def _validating():
-    """Report a ValueError raised while building run objects as a ConfigError."""
-    try:
-        yield
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
 
 
 def load_config(path, command: str) -> RunConfig:
@@ -273,10 +256,4 @@ def parse_config(text: str, command: str) -> RunConfig:
             values[key] = _coerce(kind, raw, key, line)
         else:
             values[key] = default
-    if command == "sweep" and values.get("sweep.command") is None:
-        raise ConfigError("sweep requires 'sweep.command'")
-    for key, value in values.items():
-        prefix = key.removesuffix(".family")
-        if prefix != key and value == "file" and values[f"{prefix}.path"] is None:
-            raise ConfigError(f"file family requires '{prefix}.path'")
     return RunConfig(command, values)

@@ -408,6 +408,35 @@ class TestSweep:
         assert victim.exists()
         assert tree_digest(out / "b2_N64") == survivor_digest
 
+    def test_resume_reports_the_recorded_exit_codes(self, tmp_path):
+        text = FAST_SOLVE.replace("params.b = 2", "sweep.b = 0,2")
+        cfg = write_config(tmp_path, text + "sweep.command = conserve\n")
+        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--tol", "0"]
+        assert run_cli(*argv) == 3
+        assert run_cli(*argv) == 3  # every cell is skipped now
+        index = json.loads((tmp_path / "o" / "index.json").read_text())
+        assert [(c["skipped"], c["exit_code"]) for c in index["cells"]] == [(True, 3)] * 2
+        # a cut-short manifest, or one without an exit code, runs its cell again
+        (tmp_path / "o" / "b0_N64" / "manifest.json").write_text('{"command": "con')
+        older = tmp_path / "o" / "b2_N64" / "manifest.json"
+        manifest = json.loads(older.read_text())
+        del manifest["exit_code"]
+        older.write_text(json.dumps(manifest))
+        assert run_cli(*argv) == 3
+        index = json.loads((tmp_path / "o" / "index.json").read_text())
+        assert [(c["skipped"], c["exit_code"]) for c in index["cells"]] == [(False, 3)] * 2
+        assert json.loads(older.read_text())["exit_code"] == 3
+
+    def test_cells_get_the_sweep_formulation(self, tmp_path):
+        sweep_cfg = write_config(tmp_path, FAST_SOLVE + "sweep.command = solve\n", "s.cfg")
+        direct_cfg = write_config(tmp_path, FAST_SOLVE, "direct.cfg")
+        out_sweep, out_direct = tmp_path / "sweep_out", tmp_path / "direct_out"
+        flags = ("--formulation", "lagrangian")
+        assert run_cli("sweep", "--config", str(sweep_cfg), "--out", str(out_sweep), *flags) == 0
+        assert run_cli("solve", "--config", str(direct_cfg), "--out", str(out_direct), *flags) == 0
+        assert tree_digest(out_sweep / "b2_N64") == tree_digest(out_direct)
+        assert any(out_direct.glob("phi_*.csv"))
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = write_config(tmp_path, SWEEP_CFG)
         out1, out2 = tmp_path / "serial", tmp_path / "parallel"
@@ -431,7 +460,7 @@ def test_sweep_pool_never_exceeds_its_cells(tmp_path, monkeypatch, jobs, pool):
     assert len(json.loads((out / "index.json").read_text())["cells"]) == 3
 
 
-MANIFEST_BASE = {"command", "config", "config_hash", "params", "solver"}
+MANIFEST_BASE = {"command", "config", "config_hash", "exit_code", "params", "solver"}
 SOLVE_FIELDS = {"formulation", "termination", "times", "snapshots"}
 CONSERVE_FIELDS = {"termination", "tol", "max_residual", "passed"}
 
@@ -458,6 +487,11 @@ MANIFEST_RUNS = {
         "nonuniform",
         {"m_est", "x0_est", "L_est", "resolved_n", "separation_persistent"},
     ),
+    # the exp map's first march ends at the phi_x guard
+    "nonuniform-blowup": (
+        ["nonuniform"], NONUNIFORM_CFG + "solver.min_phix = 0.999\n", 2, "nonuniform",
+        {"blowup"},
+    ),
     "sweep-cell": (
         ["sweep"], FAST_SOLVE + "sweep.command = conserve\n", 0, "conserve",
         CONSERVE_FIELDS,
@@ -476,6 +510,7 @@ def test_every_manifest_carries_the_base_keys(tmp_path, case):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == MANIFEST_BASE | fields
     assert manifest["command"] == command
+    assert manifest["exit_code"] == code
     assert "sweep." not in manifest["config"]
     assert manifest["config_hash"] == hashlib.sha256(manifest["config"].encode()).hexdigest()
     assert manifest["params"] == {"b": 2.0, "s": 2.0}
@@ -484,6 +519,8 @@ def test_every_manifest_carries_the_base_keys(tmp_path, case):
         assert manifest["solver"]["T"] == 1.0
     if "termination" in fields:
         assert manifest["termination"] == ("completed" if code == 0 else "blowup_phix")
+    if "blowup" in fields:
+        assert manifest["blowup"].endswith("(blowup_phix at t = 0.01)")
 
 
 @pytest.mark.parametrize("command", ["solve", "conserve"])
@@ -634,11 +671,34 @@ def test_help_states_the_exit_codes_without_developer_notes():
 
 
 def test_readme_usage_lists_exactly_the_subcommands():
+    # each usage line: the subcommand, then its optional flags in brackets
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     usage = re.search(r"## Command line\n.*?```\n(.*?)```", readme, re.S).group(1)
-    listed = [line.split()[1] for line in usage.splitlines() if line.startswith("bfamily ")]
+    listed = {
+        line.split()[1]: re.findall(r"\[(--[\w-]+)", line)
+        for line in usage.splitlines()
+        if line.startswith("bfamily ")
+    }
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert listed == list(sub.choices)
+    declared = {
+        name: [
+            a.option_strings[0]
+            for a in parser._actions
+            if not a.required and a.option_strings[0] != "-h"
+        ]
+        for name, parser in sub.choices.items()
+    }
+    assert list(listed) == list(declared)
+    assert listed == declared
+
+
+def test_config_does_not_import_io():
+    # the field CSV reader is imported only when a config names a file family
+    import bfamily
+
+    env = {**os.environ, "PYTHONPATH": str(Path(bfamily.__file__).parents[1])}
+    code = "import sys, bfamily.config; sys.exit('bfamily.io' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 # No solver.dt, so the derived step 0.5 h / max|u0| gives about 3e17 (amp 1e19)
