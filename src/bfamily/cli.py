@@ -4,7 +4,9 @@
 declared; `_FLAGS` declares each flag once.  DESCRIPTION, which --help
 shows, states the exit-code protocol.  Every command but sweep writes one
 manifest.json, its exit code included, and `_run` is its only writer, on
-the command line and in sweep cells alike.
+the command line and in sweep cells alike; a run that exits with `config
+error:` or `run failed:` (say an unconverged Christoffel solve) writes none,
+so a sweep runs such a cell again on every resume.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import asdict
@@ -216,14 +219,20 @@ def run_sweep(cfg: RunConfig, out: Path, options) -> int:
         if clash := [name for i, name in enumerate(names) if name in names[:i]]:
             raise ConfigError(f"two sweep.b values share the cell name '{clash[0]}'")
 
-    # a cell whose manifest records an exit code finished in an earlier run:
-    # it is skipped and reports that code; a cut-short or older manifest reruns
+    # a cell is skipped, and reports the exit code its manifest records, only
+    # when that manifest records this cell's config hash and this run's value
+    # of every flag it records; any other cell is cleared and runs again
     done = {}
-    for name in names:
+    for name, _, _, cell in cells:
         with suppress(FileNotFoundError, ValueError, KeyError):
             manifest = json.loads((out / name / "manifest.json").read_text())
-            done[name] = manifest["exit_code"]
+            if manifest["config_hash"] == cell.config_hash() and all(
+                manifest[flag] == getattr(options, flag) for flag in _FLAGS if flag in manifest
+            ):
+                done[name] = manifest["exit_code"]
     pending = [c for c in cells if c[0] not in done]
+    for c in pending:
+        shutil.rmtree(out / c[0], ignore_errors=True)
     cell_options = argparse.Namespace(**{**vars(options), "jobs": 1})
     payloads = [(c[3], str(out / c[0]), cell_options) for c in pending]
     ran = parallel_map(_run_cell, payloads, options.jobs)

@@ -17,10 +17,7 @@ import numpy as np
 from .diagnostics import momentum, pushforward_reconstruct
 from .dynamics import BParams, SolverConfig, dexp, exp_map, time_one_map
 from .errors import (
-    DegenerateProbeError,
-    ExpDomainError,
-    SolverError,
-    UnderResolvedError,
+    ConfigError, DegenerateProbeError, ExpDomainError, SolverError, UnderResolvedError
 )
 from .spectral import Field, Grid, hs_norm
 
@@ -125,11 +122,9 @@ def estimate_probe_geometry(cfg: NonUniformityConfig):
 
 
 def _resolved_row(payload) -> ExperimentRow:
-    """One n of the construction: two time-one maps, two flows, pushforwards."""
-    cfg, n, r_n, x0_est, i0, l_est = payload
+    """One resolved n, from its bump w_n: two time-one maps, two flows, pushforwards."""
+    cfg, n, r_n, w_n, i0 = payload
     s = cfg.params.s
-    radius = r_n / l_est
-    w_n = build_bump(x0_est, radius, s, cfg.R / 4.0, cfg.u0.grid)
     x_n = cfg.u0 + w_n
     xt_n = x_n + (1.0 / n) * cfg.v
     input_dist = hs_norm(xt_n - x_n, s)
@@ -177,10 +172,11 @@ def parallel_map(fn, items: list, jobs: int) -> list:
 def nonuniformity_experiment(cfg: NonUniformityConfig, jobs: int = 1) -> ExperimentReport:
     """Run the shrinking-bump construction for every n in cfg.n_values.
 
-    Under-resolved n (bump radius at or below 4h) are flagged rather than
-    computed; blow-ups abort with the offending n and sequence.  The per-n
-    pipelines are independent; jobs > 1 runs them in separate processes and
-    the report assembly stays a deterministic n-ordered reduction.
+    Every bump w_n is built before any march, so build_bump alone decides
+    each n: an under-resolved bump (radius at or below 4h) flags its row, and
+    one leaving |x| <= 0.75 L is a ConfigError naming n.  Blow-ups abort with
+    the offending n and sequence; jobs > 1 runs the independent per-n marches
+    in separate processes, and the report stays n-ordered.
     """
     grid = cfg.u0.grid
     s = cfg.params.s
@@ -188,25 +184,22 @@ def nonuniformity_experiment(cfg: NonUniformityConfig, jobs: int = 1) -> Experim
     x0_est, m_est, L_est = estimate_probe_geometry(cfg)
     i0 = int(np.argmin(np.abs(grid.x - x0_est)))
 
-    flagged = {}
+    rows = {}
     payloads = []
     for n in cfg.n_values:
         r_n = m_est * v_norm / (8.0 * n)
-        if r_n / L_est <= RESOLUTION_FACTOR * grid.spacing:
-            flagged[n] = ExperimentRow(
-                n=n,
-                r_n=r_n,
-                input_dist=v_norm / n,
-                output_dist=float("nan"),
-                momentum_output_dist=float("nan"),
-                witness_gap=float("nan"),
-                disjoint_ok=False,
-                resolved_ok=False,
-            )
+        radius = r_n / L_est
+        try:
+            w_n = build_bump(x0_est, radius, s, cfg.R / 4.0, grid)
+        except UnderResolvedError:
+            nan = float("nan")
+            rows[n] = ExperimentRow(n, r_n, v_norm / n, nan, nan, nan, False, False)
+        except ValueError as err:
+            where = f"x0_est +/- radius = {x0_est:.6g} +/- {radius:.4g}"
+            raise ConfigError(f"n = {n}: witness bump support {where} leaves the safe "
+                              f"region |x| <= {0.75 * grid.half_length:.6g}") from err
         else:
-            payloads.append((cfg, n, r_n, x0_est, i0, L_est))
+            payloads.append((cfg, n, r_n, w_n, i0))
 
-    by_n = {row.n: row for row in parallel_map(_resolved_row, payloads, jobs)}
-    by_n.update(flagged)
-    rows = [by_n[n] for n in cfg.n_values]
-    return ExperimentReport(rows, m_est, x0_est, L_est)
+    rows.update((row.n, row) for row in parallel_map(_resolved_row, payloads, jobs))
+    return ExperimentReport([rows[n] for n in cfg.n_values], m_est, x0_est, L_est)

@@ -133,9 +133,6 @@ class Field:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
-
 
 def derivative(f: Field, k: int) -> Field:
     """Spectral derivative of order k in {1, 2, 3}.

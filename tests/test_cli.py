@@ -427,6 +427,34 @@ class TestSweep:
         assert [(c["skipped"], c["exit_code"]) for c in index["cells"]] == [(False, 3)] * 2
         assert json.loads(older.read_text())["exit_code"] == 3
 
+    def test_resume_reruns_cells_of_another_config_or_tol(self, tmp_path):
+        text = FAST_SOLVE.replace("params.b = 2", "sweep.b = 0,2") + "sweep.command = conserve\n"
+        out = tmp_path / "o"
+
+        def skipped(text, tol="1"):
+            argv = ["--config", str(write_config(tmp_path, text)), "--out", str(out)]
+            assert run_cli("sweep", *argv, "--tol", tol) == 0
+            return [c["skipped"] for c in json.loads((out / "index.json").read_text())["cells"]]
+
+        assert skipped(text.replace("solver.T = 0.1", "solver.T = 0.05")) == [False, False]
+        assert skipped(text) == [False, False]  # solver.T changed
+        manifest = json.loads((out / "b0_N64" / "manifest.json").read_text())
+        assert manifest["solver"]["T"] == 0.1
+        assert skipped(text) == [True, True]
+        assert skipped(text, tol="0.5") == [False, False]
+        assert json.loads((out / "b0_N64" / "manifest.json").read_text())["tol"] == 0.5
+
+    def test_resume_clears_a_cell_run_with_another_formulation(self, tmp_path):
+        sweep_cfg = write_config(tmp_path, FAST_SOLVE + "sweep.command = solve\n", "s.cfg")
+        direct_cfg = write_config(tmp_path, FAST_SOLVE, "direct.cfg")
+        out_sweep, out_direct = tmp_path / "sweep_out", tmp_path / "direct_out"
+        flags = ("--formulation", "lagrangian")
+        assert run_cli("sweep", "--config", str(sweep_cfg), "--out", str(out_sweep)) == 0
+        assert run_cli("sweep", "--config", str(sweep_cfg), "--out", str(out_sweep), *flags) == 0
+        assert run_cli("solve", "--config", str(direct_cfg), "--out", str(out_direct), *flags) == 0
+        # the eulerian run's u_*.csv are gone, not just overwritten
+        assert tree_digest(out_sweep / "b2_N64") == tree_digest(out_direct)
+
     def test_cells_get_the_sweep_formulation(self, tmp_path):
         sweep_cfg = write_config(tmp_path, FAST_SOLVE + "sweep.command = solve\n", "s.cfg")
         direct_cfg = write_config(tmp_path, FAST_SOLVE, "direct.cfg")
@@ -636,6 +664,39 @@ def assert_config_error_without_output(tmp_path, command, text, *flags):
     assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
     assert not out.exists()
     return proc.stderr
+
+
+def assert_config_error_after_out(tmp_path, command, text, *flags):
+    """A config error found once --out exists: exit 1 with one stderr line and
+    no traceback, and no manifest.json or report.csv anywhere under --out."""
+    proc, out = run_fresh(tmp_path, command, text, *flags)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+    assert out.is_dir()
+    assert not any(out.rglob("manifest.json")) and not any(out.rglob("report.csv"))
+    return proc.stderr, out
+
+
+# x0_est lies near 15, so the n = 1 witness bump leaves |x| <= 0.75 L = 15
+OFF_CENTRE_CFG = (
+    NONUNIFORM_CFG.replace("experiment.n_values = 1,16", "experiment.n_values = 1")
+    + "initial.center = 15\nprobe.center = 15\n"
+)
+BUMP_OUTSIDE = r"n = 1: witness bump support x0_est \+/- radius = [\d.]+ \+/- [\d.]+ leaves"
+
+
+def test_witness_bump_outside_the_safe_region_is_config_error(tmp_path):
+    err, _ = assert_config_error_after_out(tmp_path, "nonuniform", OFF_CENTRE_CFG)
+    assert re.search(BUMP_OUTSIDE, err), err
+
+
+def test_sweep_cell_with_a_witness_bump_outside_exits_one(tmp_path):
+    text = OFF_CENTRE_CFG + "sweep.command = nonuniform\n"
+    err, out = assert_config_error_after_out(tmp_path, "sweep", text)
+    assert re.search(BUMP_OUTSIDE, err), err
+    index = json.loads((out / "index.json").read_text())
+    assert [(c["cell"], c["exit_code"]) for c in index["cells"]] == [("b2_N512", 1)]
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])

@@ -9,6 +9,7 @@ from helpers import record_pools, scaling_check
 from bfamily.dynamics import BParams, SolverConfig, solve_eulerian, time_one_map
 from bfamily.errors import DegenerateProbeError, ExpDomainError, UnderResolvedError
 from bfamily.experiments import (
+    ExperimentRow,
     NonUniformityConfig,
     build_bump,
     estimate_probe_geometry,
@@ -229,11 +230,12 @@ class TestNonUniformityExperiment:
 
 @pytest.mark.parametrize("jobs, pool", [(64, [3]), (2, [2]), (1, [])])
 def test_pool_never_exceeds_resolved_rows(monkeypatch, jobs, pool):
-    # geometry and rows are stubbed so that n = 1, 2, 4 all resolve: only
-    # the fan-out over the rows is under test
+    # geometry and rows are stubbed so that n = 1, 2, 4 all resolve (bump
+    # radii 1.47, 0.73, 0.37 > 4h = 0.3125, centred at 0): only the fan-out
+    # over the rows is under test
     sizes = record_pools(monkeypatch)
     monkeypatch.setattr(
-        "bfamily.experiments.estimate_probe_geometry", lambda cfg: (0.0, 100.0, 1.0)
+        "bfamily.experiments.estimate_probe_geometry", lambda cfg: (0.0, 1.0, 1.0)
     )
     monkeypatch.setattr(
         "bfamily.experiments._resolved_row", lambda payload: SimpleNamespace(n=payload[1])
@@ -241,3 +243,34 @@ def test_pool_never_exceeds_resolved_rows(monkeypatch, jobs, pool):
     report = nonuniformity_experiment(small_experiment_config(), jobs=jobs)
     assert sizes == pool
     assert [row.n for row in report.rows] == [1, 2, 4]
+
+
+def test_build_bump_alone_decides_which_n_run(monkeypatch):
+    # under the stubbed geometry n = 1, 2, 4 all resolve; a build_bump that
+    # refuses n = 2 must flag that row alone, and each resolved row marches
+    # the very bump build_bump returned for it
+    cfg = small_experiment_config()
+    v_norm = hs_norm(cfg.v, S)
+    built = {}
+
+    def bump(center, radius, s, target, grid):
+        n = round(v_norm / (8.0 * radius))  # radius = r_n = v_norm / (8n) here
+        if n == 2:
+            raise UnderResolvedError("refused")
+        built[n] = build_bump(center, radius, s, target, grid)
+        return built[n]
+
+    def row(payload):
+        _, n, r_n, w_n, _ = payload
+        assert w_n is built[n]
+        return ExperimentRow(n, r_n, 0.0, 0.0, 0.0, 0.0, True, True)
+
+    monkeypatch.setattr(
+        "bfamily.experiments.estimate_probe_geometry", lambda cfg: (0.0, 1.0, 1.0)
+    )
+    monkeypatch.setattr("bfamily.experiments.build_bump", bump)
+    monkeypatch.setattr("bfamily.experiments._resolved_row", row)
+    report = nonuniformity_experiment(cfg)
+    assert [(r.n, r.resolved_ok) for r in report.rows] == [(1, True), (2, False), (4, True)]
+    assert np.isnan(report.rows[1].output_dist) and not report.rows[1].disjoint_ok
+    assert sorted(built) == [1, 4]
