@@ -10,7 +10,6 @@ from .diffeo import (
     Diffeomorphism,
     compose_field,
     evaluate_field,
-    from_displacement,
     identity,
     invert,
 )
@@ -19,13 +18,10 @@ from .dynamics import (
     SolverConfig,
     SprayState,
     Trajectory,
-    christoffel_at,
-    christoffel_id,
     default_dt,
     dexp,
     eulerian_from_lagrangian,
     exp_map,
-    rhs_eulerian,
     solve_eulerian,
     solve_geodesic,
     time_one_map,

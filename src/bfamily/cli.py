@@ -20,6 +20,8 @@ from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig, load_config, sweep_cell
 from .diagnostics import conservation_residual
 from .dynamics import COMPLETED, solve_eulerian, solve_geodesic
@@ -295,7 +297,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    return _exit_code(_main, argv)
+    # a march reports lost finiteness in its one line; numpy's warnings add nothing
+    with np.errstate(all="ignore"):
+        return _exit_code(_main, argv)
 
 
 def _main(argv) -> int:

@@ -3,8 +3,8 @@
 Parsing is total: every line either contributes a key, is blank, or is a
 comment; anything else fails with its line number.  Unknown keys are
 errors.  The canonical re-serialization (sorted, normalized values) is
-what gets hashed into manifests, so identical effective configurations
-share a hash regardless of formatting.
+what gets hashed into manifests, with the bytes of any file datum, so
+identical effective configurations share a hash regardless of formatting.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,7 +155,12 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+        """sha256 of the canonical text and the bytes of each file datum."""
+        digest = hashlib.sha256(self.canonical_text().encode())
+        for key in sorted(key for key in self.values if key.endswith(".path")):
+            with suppress(OSError):  # an unreadable datum's run is a config error
+                digest.update(Path(self[key]).read_bytes())
+        return digest.hexdigest()
 
     def build_grid(self) -> Grid:
         return make_grid(self["grid.L"], self["grid.N"])

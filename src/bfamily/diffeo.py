@@ -79,18 +79,9 @@ class Diffeomorphism:
         """phi evaluated at the grid points."""
         return self.grid.x + self.displacement.values
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """phi at arbitrary points (trigonometric interpolation of f)."""
-        pts = np.asarray(points, dtype=np.float64)
-        return pts + evaluate_field(self.displacement, pts)
-
 
 def identity(grid: Grid) -> Diffeomorphism:
     return Diffeomorphism(grid, Field.zeros(grid))
-
-
-def from_displacement(f: Field) -> Diffeomorphism:
-    return Diffeomorphism(f.grid, f)
 
 
 def compose_field(g: Field, phi: Diffeomorphism) -> Field:

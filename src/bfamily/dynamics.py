@@ -24,7 +24,6 @@ the step's own stage values G1..G4 and the previous step's P1..P4,
 the last being the quadratic through t - dt, t and t + dt/2 (where
 (G2 + G3)/2 lies on the trajectory to O(dt^3)) evaluated at t + dt.  The
 first step starts stage 1 cold and stages 2 and 4 from G1 and 2 G3 - G1.
-The symmetric form at the identity is the polarization of Gamma_id(v, v).
 As y o phi = A_phi phi_t, the transported momentum (y o phi) phi_x^b is
 phi_x^(b-1) S phi_t: no inversion.
 
@@ -72,8 +71,8 @@ class SolverConfig:
     min_phix: float = 1e-6
 
     def __post_init__(self):
-        if not (self.dt > 0 and self.T > 0 and self.dt <= self.T):
-            raise ValueError("need 0 < dt <= T")
+        if not (0 < self.dt <= self.T and math.isfinite(self.T / self.dt)):
+            raise ValueError(f"need 0 < dt <= T, T / dt finite: dt = {self.dt:g}, T = {self.T:g}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
         if self.blowup_norm_cap <= 0 or self.min_phix <= 0:
@@ -138,30 +137,6 @@ def _eulerian_rhs(grid: Grid, b: float):
     cut, h = np.array([grid.keep, grid.keep * grid.d1]), grid.helmholtz
     flux = -0.5 * cut[1] * np.array([1.0 + b * h, (3.0 - b) * h])
     return lambda spec: (flux * grid.rfft(grid.irfft(cut * spec) ** 2)).sum(axis=0)
-
-
-def rhs_eulerian(u: Field, params: BParams) -> Field:
-    """Right-hand side of the nonlocal velocity form."""
-    spec = _eulerian_rhs(u.grid, params.b)(u.grid.rfft(u.values))
-    return Field(u.grid, u.grid.irfft(spec))
-
-
-def christoffel_id(v: Field, w: Field, params: BParams) -> Field:
-    """Symmetric Christoffel bilinear form at the identity.
-
-    The polarization (Gamma(v + w) - Gamma(v - w)) / 4 of christoffel_at at
-    phi = id, i.e. the Helmholtz inverse of
-    B(v, w) = -(b/2)(v w_x + w v_x) + ((b-3)/2)(v_x w_xx + w_x v_xx).
-    Scaling by 2 and by 1/4 is exact, so the form is symmetric bit for bit
-    and its diagonal is christoffel_at(identity, v) bit for bit.
-    """
-    v._check_same_grid(w)
-    grid, b = v.grid, params.b
-    sums = grid.rfft(np.array([v.values + w.values, v.values - w.values]))
-    zero = np.zeros_like(sums[0])
-    plus = _christoffel_at_arr(grid, b, zero, sums[0])
-    minus = _christoffel_at_arr(grid, b, zero, sums[1])
-    return Field(grid, grid.irfft((plus - minus) / 4.0))
 
 
 def _self_adjoint_form(grid: Grid, phi_x: np.ndarray):
@@ -262,19 +237,6 @@ def _christoffel_at_arr(
     g0 = grid.helmholtz * rhs
     sg0 = _self_adjoint_form(grid, phi_x)(g0)
     return _solve_conjugated_helmholtz(grid, phi_x, rhs, g0, sg0)
-
-
-def christoffel_at(phi: Diffeomorphism, v: Field, params: BParams) -> Field:
-    """Gamma_phi(v, v) without explicit inversion of phi.
-
-    At phi = id the cold start is already exact, so the result coincides
-    with christoffel_id.
-    """
-    if phi.grid != v.grid:
-        raise GridError("phi and v live on different grids")
-    grid = phi.grid
-    disp, spec = grid.rfft(np.array([phi.displacement.values, v.values]))
-    return Field(grid, grid.irfft(_christoffel_at_arr(grid, params.b, disp, spec)))
 
 
 def _rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:

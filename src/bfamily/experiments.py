@@ -11,6 +11,7 @@ intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -159,13 +160,13 @@ def _resolved_row(payload) -> ExperimentRow:
 
 def parallel_map(fn, items: list, jobs: int) -> list:
     """[fn(x) for x in items], in min(jobs, len(items)) processes when that
-    exceeds 1: a pool starts all its workers at once."""
+    exceeds 1, all started at once, each with the caller's np.geterr()."""
     workers = min(jobs, len(items))
     if workers <= 1:
         return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor  # its import costs ~20 ms
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
         return list(pool.map(fn, items))
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import ConservationReport
-from .diffeo import Diffeomorphism, from_displacement
+from .diffeo import Diffeomorphism
 from .errors import ConfigError
 from .experiments import ExperimentReport, ExperimentRow
 from .spectral import Field, make_grid
@@ -25,32 +25,9 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _grid_from_x(x: np.ndarray):
-    n = len(x)
-    L = -x[0]
-    grid = make_grid(L, n)
-    if not np.array_equal(grid.x, x):
-        raise ConfigError("x column is not a uniform [-L, L) grid")
-    return grid
-
-
 def _write_two_column(path, header, x, values):
     rows = np.column_stack([x, values]).ravel().tolist()
     Path(path).write_text(f"{header}\n" + ("%.17g,%.17g\n" * len(x)) % tuple(rows))
-
-
-def _read_two_column(path, header):
-    lines = Path(path).read_text().strip().split("\n")
-    if not lines or lines[0] != header:
-        raise ConfigError(f"{path}: expected header '{header}'")
-    if len(lines) == 1:
-        raise ConfigError(f"{path}: no data rows")
-    x, values = [], []
-    for line in lines[1:]:
-        a, b = line.split(",")
-        x.append(float(a))
-        values.append(float(b))
-    return np.array(x), np.array(values)
 
 
 def write_field_csv(path, field: Field):
@@ -58,18 +35,25 @@ def write_field_csv(path, field: Field):
 
 
 def read_field_csv(path) -> Field:
-    x, values = _read_two_column(path, "x,value")
-    return Field(_grid_from_x(x), values)
+    """The field of an `x,value` CSV whose x column is a uniform [-L, L) grid."""
+    header, *rows = Path(path).read_text().strip().split("\n")
+    if header != "x,value":
+        raise ConfigError(f"{path}: expected header 'x,value'")
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    x, values = [], []
+    for row in rows:
+        a, b = row.split(",")
+        x.append(float(a))
+        values.append(float(b))
+    grid = make_grid(-x[0], len(x))
+    if not np.array_equal(grid.x, x):
+        raise ConfigError("x column is not a uniform [-L, L) grid")
+    return Field(grid, values)
 
 
 def write_diffeo_csv(path, phi: Diffeomorphism):
     _write_two_column(path, "x,displacement", phi.grid.x, phi.displacement.values)
-
-
-def read_diffeo_csv(path) -> Diffeomorphism:
-    x, values = _read_two_column(path, "x,displacement")
-    grid = _grid_from_x(x)
-    return from_displacement(Field(grid, values))
 
 
 def write_conservation_csv(path, report: ConservationReport):

@@ -109,10 +109,6 @@ class Field:
         self.values = v
 
     @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        return cls(grid, fn(grid.x))
-
-    @classmethod
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.n_points))
 

@@ -1,10 +1,12 @@
 """Shared helpers and reference oracles for the test suite.
 
-The oracles are identities the package itself does not compute: the
-Helmholtz inverse, the dealiased product, the homogeneous H^s seminorm and
-its FFT-free Slobodeckij counterpart, numerical support and the
-disjoint-support ratio, the time-amplitude scaling residual, and the flow
-integrated from a stored velocity.
+The oracles are identities and views the package itself does not compute
+or read: the Helmholtz inverse, the dealiased product, the Eulerian
+right-hand side and the Christoffel forms as Fields, the homogeneous H^s
+seminorm and its FFT-free Slobodeckij counterpart, numerical support and
+the disjoint-support ratio, the time-amplitude scaling residual, the flow
+integrated from a stored velocity, and a reader of the flow-map CSVs that
+`solve --formulation lagrangian` writes.
 """
 
 import hashlib
@@ -21,10 +23,12 @@ from bfamily.dynamics import (
     SolverConfig,
     SprayState,
     Trajectory,
+    _christoffel_at_arr,
+    _eulerian_rhs,
     solve_eulerian,
 )
 from bfamily.errors import SolverError
-from bfamily.spectral import Field, hs_norm
+from bfamily.spectral import Field, hs_norm, make_grid
 
 SUPPORT_RTOL = 1e-14  # relative threshold for numerical support detection
 
@@ -81,6 +85,42 @@ def dealiased_product(f: Field, h: Field) -> Field:
     g = f.grid
     ft, ht = g.truncated(g.rfft(f.values)), g.truncated(g.rfft(h.values))
     return Field(g, g.irfft(g.keep * g.rfft(ft * ht)))
+
+
+def rhs_eulerian(u: Field, params: BParams) -> Field:
+    """Right-hand side of the nonlocal velocity form, as solve_eulerian marches it."""
+    spec = _eulerian_rhs(u.grid, params.b)(u.grid.rfft(u.values))
+    return Field(u.grid, u.grid.irfft(spec))
+
+
+def christoffel_at(phi: Diffeomorphism, v: Field, params: BParams) -> Field:
+    """Gamma_phi(v, v) by solve_geodesic's solve, cold-started: no inversion of phi.
+
+    At phi = id the cold start is already exact, so the result coincides
+    with christoffel_id.
+    """
+    phi.displacement._check_same_grid(v)
+    grid = phi.grid
+    disp, spec = grid.rfft(np.array([phi.displacement.values, v.values]))
+    return Field(grid, grid.irfft(_christoffel_at_arr(grid, params.b, disp, spec)))
+
+
+def christoffel_id(v: Field, w: Field, params: BParams) -> Field:
+    """Symmetric Christoffel bilinear form at the identity.
+
+    The polarization (Gamma(v + w) - Gamma(v - w)) / 4 of christoffel_at at
+    phi = id, i.e. the Helmholtz inverse of
+    B(v, w) = -(b/2)(v w_x + w v_x) + ((b-3)/2)(v_x w_xx + w_x v_xx).
+    Scaling by 2 and by 1/4 is exact, so the form is symmetric bit for bit
+    and its diagonal is christoffel_at(identity, v) bit for bit.
+    """
+    v._check_same_grid(w)
+    grid, b = v.grid, params.b
+    sums = grid.rfft(np.array([v.values + w.values, v.values - w.values]))
+    zero = np.zeros_like(sums[0])
+    plus = _christoffel_at_arr(grid, b, zero, sums[0])
+    minus = _christoffel_at_arr(grid, b, zero, sums[1])
+    return Field(grid, grid.irfft((plus - minus) / 4.0))
 
 
 def homogeneous_hs_norm(f: Field, s: float) -> float:
@@ -179,6 +219,19 @@ def flow_from_velocity(traj: Trajectory) -> Trajectory:
     return Trajectory(traj.params, traj.config, traj.times, states, traj.termination)
 
 
+def read_diffeo_csv(path) -> Diffeomorphism:
+    """The flow map of a `x,displacement` snapshot CSV, bit for bit.
+
+    The x column must be the uniform grid [-L, L) that make_grid builds.
+    """
+    header, *rows = Path(path).read_text().splitlines()
+    assert header == "x,displacement", f"{path}: header '{header}'"
+    x, disp = np.array([[float(v) for v in row.split(",")] for row in rows]).T
+    grid = make_grid(-x[0], len(x))
+    assert np.array_equal(grid.x, x), f"{path}: x column is not a uniform [-L, L) grid"
+    return Diffeomorphism(grid, Field(grid, disp))
+
+
 def record_pools(monkeypatch) -> list:
     """Swap the package's process pool for an in-process map.
 
@@ -188,7 +241,7 @@ def record_pools(monkeypatch) -> list:
     sizes = []
 
     class Pool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
 
         def __enter__(self):

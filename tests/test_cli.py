@@ -11,12 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import FAST_SOLVE, check_golden, record_pools, tree_digest
+from helpers import FAST_SOLVE, check_golden, read_diffeo_csv, record_pools, tree_digest
 
 from bfamily.cli import build_parser, main
 from bfamily.config import parse_config
 from bfamily.dynamics import exp_map, solve_geodesic
-from bfamily.io import read_diffeo_csv, read_experiment_rows, read_field_csv
+from bfamily.io import read_experiment_rows, read_field_csv
 
 
 def run_cli(*argv) -> int:
@@ -455,6 +455,35 @@ class TestSweep:
         # the eulerian run's u_*.csv are gone, not just overwritten
         assert tree_digest(out_sweep / "b2_N64") == tree_digest(out_direct)
 
+    def test_resume_reruns_a_cell_whose_file_datum_changed(self, tmp_path):
+        from bfamily.io import write_field_csv
+        from bfamily.spectral import Field, make_grid
+
+        grid, datum, out = make_grid(20, 64), tmp_path / "u0.csv", tmp_path / "o"
+        kept = [line for line in FAST_SOLVE.splitlines() if not line.startswith("initial.")]
+        text = "\n".join(kept + ["initial.family = file", f"initial.path = {datum}"])
+        argv = ["--config", str(write_config(tmp_path, text + "\nsweep.command = solve\n"))]
+
+        def skipped():
+            assert run_cli("sweep", *argv, "--out", str(out)) == 0
+            return [c["skipped"] for c in json.loads((out / "index.json").read_text())["cells"]]
+
+        for amp, was_skipped in ((0.3, False), (0.6, False), (0.6, True)):
+            u0 = Field(grid, amp * np.exp(-((grid.x / 2) ** 2)))
+            write_field_csv(datum, u0)
+            assert skipped() == [was_skipped]
+            first = read_field_csv(out / "b2_N64" / "u_000000.csv")
+            assert np.array_equal(first.values, u0.values)
+
+    def test_unreadable_file_datum_is_the_cells_own_config_error(self, tmp_path):
+        # a directory as the datum: reading it fails, hashing it must not
+        kept = [line for line in FAST_SOLVE.splitlines() if not line.startswith("initial.")]
+        datum = ["initial.family = file", f"initial.path = {tmp_path}", "sweep.command = solve"]
+        err, out = assert_config_error_after_out(tmp_path, "sweep", "\n".join(kept + datum))
+        assert err.startswith("config error: initial.path:"), err
+        index = json.loads((out / "index.json").read_text())
+        assert [(c["cell"], c["exit_code"]) for c in index["cells"]] == [("b2_N64", 1)]
+
     def test_cells_get_the_sweep_formulation(self, tmp_path):
         sweep_cfg = write_config(tmp_path, FAST_SOLVE + "sweep.command = solve\n", "s.cfg")
         direct_cfg = write_config(tmp_path, FAST_SOLVE, "direct.cfg")
@@ -619,6 +648,23 @@ BAD_INPUTS = {
         SWEEP_CFG.replace("sweep.command = solve", "sweep.command = exp"),
     ),
     "non-utf8-config": ("solve", b"grid.N = 64\n\xff\xfe\n"),
+    # T / dt overflows to inf: no step count, so no march
+    "step-count-overflows": (
+        "solve",
+        FAST_SOLVE.replace("solver.dt = 0.01", "solver.dt = 1e-310").replace(
+            "solver.T = 0.1", "solver.T = 1"
+        ),
+    ),
+    "step-count-overflows-at-huge-T": (
+        "solve",
+        FAST_SOLVE.replace("solver.dt = 0.01", "solver.dt = 1e-300").replace(
+            "solver.T = 0.1", "solver.T = 1e300"
+        ),
+    ),
+    "nonuniform-step-count-overflows": (
+        "nonuniform",
+        NONUNIFORM_CFG.replace("solver.dt = 0.005", "solver.dt = 1e-310"),
+    ),
 }
 
 
@@ -788,3 +834,42 @@ def test_huge_step_count_is_blowup_without_traceback(tmp_path, case):
     assert termination.startswith("blowup_")
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith(f"blow-up: {termination} at t = ")
+
+
+# amplitude 1e200 overflows the first step's squares: the march reports the
+# lost finiteness as its one line, with no numpy RuntimeWarning before it
+OVERFLOWING_RUNS = {
+    "solve-eulerian": ["solve"],
+    "solve-lagrangian": ["solve", "--formulation", "lagrangian"],
+    "conserve": ["conserve"],
+    "sweep-jobs-2": ["sweep", "--jobs", "2"],  # each cell in a pool worker
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_RUNS))
+def test_floating_point_overflow_is_one_line_without_warnings(tmp_path, case):
+    argv = OVERFLOWING_RUNS[case]
+    text = FAST_SOLVE.replace("initial.amp = 0.3", "initial.amp = 1e200")
+    if argv[0] == "sweep":
+        text = text.replace("params.b = 2", "sweep.b = 0,2") + "sweep.command = solve\n"
+    proc, _ = run_fresh(tmp_path, argv[0], text, *argv[1:])
+    assert proc.returncode == 2, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == (2 if argv[0] == "sweep" else 1), proc.stderr
+    assert all(line.startswith("run failed: ") for line in lines), proc.stderr
+
+
+def test_floating_point_errors_are_silenced_only_inside_the_command(tmp_path):
+    from bfamily.dynamics import BParams, SolverConfig, solve_eulerian
+    from bfamily.errors import SolverError
+    from bfamily.spectral import Field, make_grid
+
+    before = np.geterr()
+    cfg = write_config(tmp_path, FAST_SOLVE.replace("initial.amp = 0.3", "initial.amp = 1e200"))
+    assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert np.geterr() == before
+    grid = make_grid(20, 64)
+    u0 = Field(grid, 1e200 * np.exp(-((grid.x / 2) ** 2)))
+    with pytest.warns(RuntimeWarning), pytest.raises(SolverError):
+        solve_eulerian(u0, BParams(b=2.0, s=2.0), SolverConfig(dt=0.01, T=0.1))

@@ -10,7 +10,7 @@ from bfamily.diagnostics import (
     momentum,
     pushforward_reconstruct,
 )
-from bfamily.diffeo import compose_field, from_displacement, identity
+from bfamily.diffeo import Diffeomorphism, compose_field, identity
 from bfamily.dynamics import (
     BParams,
     SolverConfig,
@@ -41,7 +41,7 @@ class TestMomentum:
     def test_cosine_eigenfunction(self):
         g = make_grid(np.pi, 32)
         for k in (1, 3):
-            u = Field.from_function(g, lambda x: np.cos(k * x))
+            u = Field(g, np.cos(k * g.x))
             want = (1 + k**2) * np.cos(k * g.x)
             assert np.max(np.abs(momentum(u).values - want)) < 1e-12
 
@@ -67,7 +67,7 @@ class TestTransportedMomentum:
         # phi^{-1}; min phi_x is 1 - d
         g = make_grid(20, 1024)
         xi = 3 * np.pi / g.half_length
-        phi = from_displacement(Field(g, 0.3 + d / xi * np.sin(xi * g.x)))
+        phi = Diffeomorphism(g, Field(g, 0.3 + d / xi * np.sin(xi * g.x)))
         state = SprayState(phi, gaussian_field(g, center=1.0))
         got = transported_momentum(state, b)
         y = momentum(eulerian_from_lagrangian(state))
@@ -145,7 +145,7 @@ class TestPushforwardReconstruct:
         y0 = momentum(gaussian_field(g))
         c = 7 * g.spacing
         out = pushforward_reconstruct(
-            y0, from_displacement(Field(g, np.full(256, c))), 0.0
+            y0, Diffeomorphism(g, Field(g, np.full(256, c))), 0.0
         )
         want = np.roll(y0.values, 7)  # y0(x - c) for c = 7h
         assert np.max(np.abs(out.values - want)) <= 1e-10

@@ -7,7 +7,6 @@ from bfamily.diffeo import (
     Diffeomorphism,
     compose_field,
     evaluate_field,
-    from_displacement,
     identity,
     invert,
 )
@@ -25,20 +24,23 @@ def random_smooth_field(grid, rng, n_modes=6, scale=1.0):
 
 
 def random_small_diffeo(grid, rng, scale=0.08):
-    return from_displacement(random_smooth_field(grid, rng, scale=scale))
+    return Diffeomorphism(grid, random_smooth_field(grid, rng, scale=scale))
 
 class TestConstruction:
     def test_positivity_enforced(self):
         g = make_grid(np.pi, 64)
         steep = Field(g, -1.2 * np.sin(g.x))  # phi_x dips to -0.2
         with pytest.raises(PositivityError):
-            from_displacement(steep)
+            Diffeomorphism(g, steep)
 
     def test_periodicity_identity(self):
         g = make_grid(np.pi, 64)
-        phi = from_displacement(Field(g, 0.3 * np.sin(g.x)))
+        phi = Diffeomorphism(g, Field(g, 0.3 * np.sin(g.x)))
         pts = np.array([0.3, -1.1, 2.0])
-        assert np.allclose(phi(pts + 2 * np.pi), phi(pts) + 2 * np.pi, atol=1e-12)
+        shifted = pts + 2 * np.pi
+        got = shifted + evaluate_field(phi.displacement, shifted)
+        want = pts + evaluate_field(phi.displacement, pts) + 2 * np.pi
+        assert np.allclose(got, want, atol=1e-12)
 
 
 class TestComposeField:
@@ -54,14 +56,14 @@ class TestComposeField:
         rng = np.random.RandomState(1)
         f = random_smooth_field(g, rng)
         c = 5 * g.spacing
-        got = compose_field(f, from_displacement(Field(g, np.full(128, c))))
+        got = compose_field(f, Diffeomorphism(g, Field(g, np.full(128, c))))
         want = np.roll(f.values, -5)  # g(x + 5h) shifts samples left
         assert np.max(np.abs(got.values - want)) < 5e-12
 
     def test_direct_pointwise_oracle(self):
         g = make_grid(np.pi, 64)
-        f = Field.from_function(g, np.sin)
-        phi = from_displacement(Field(g, 0.3 * np.sin(g.x)))
+        f = Field(g, np.sin(g.x))
+        phi = Diffeomorphism(g, Field(g, 0.3 * np.sin(g.x)))
         got = compose_field(f, phi)
         want = np.sin(g.x + 0.3 * np.sin(g.x))
         assert np.max(np.abs(got.values - want)) < 1e-8
@@ -83,7 +85,7 @@ class TestInvert:
         g_pi = make_grid(np.pi, 64)
         cases += [(g_pi, m * g_pi.spacing) for m in (1, -4, -7, 68, 83, 94)]
         for grid, c in cases:
-            inv = invert(from_displacement(Field(grid, np.full(64, c))))
+            inv = invert(Diffeomorphism(grid, Field(grid, np.full(64, c))))
             assert np.allclose(inv.displacement.values, -c, atol=1e-11)
 
     def test_defining_equation_residual(self):
@@ -92,21 +94,23 @@ class TestInvert:
         for _ in range(4):
             phi = random_small_diffeo(g, rng)
             inv = invert(phi)
-            resid = phi(inv.positions()) - g.x
+            y = inv.positions()
+            resid = y + evaluate_field(phi.displacement, y) - g.x
             assert np.max(np.abs(resid)) <= 1e-10
         # steep maps: min phi_x is 1 - d, i.e. 0.5 and 0.05
         g = make_grid(20, 2048)
         xi = 3 * np.pi / g.half_length
         for d in (0.5, 0.95):
-            phi = from_displacement(Field(g, 0.3 + d / xi * np.sin(xi * g.x)))
+            phi = Diffeomorphism(g, Field(g, 0.3 + d / xi * np.sin(xi * g.x)))
             inv = invert(phi)
-            resid = phi(inv.positions()) - g.x
+            y = inv.positions()
+            resid = y + evaluate_field(phi.displacement, y) - g.x
             assert np.max(np.abs(resid)) <= 1e-10
 
     def test_non_increasing_samples_rejected(self):
         # the Nyquist sawtooth has spectral phi_x = 1, yet its samples decrease
         g = make_grid(20, 64)
-        phi = from_displacement(Field(g, g.spacing * (-1.0) ** np.arange(64)))
+        phi = Diffeomorphism(g, Field(g, g.spacing * (-1.0) ** np.arange(64)))
         assert np.min(phi.phi_x) > 0.5
         with pytest.raises(InversionError, match="not increasing"):
             invert(phi)
@@ -116,7 +120,7 @@ class TestInvert:
         # steep for the grid and its spectral derivative goes negative
         g = make_grid(20, 2048)
         xi = 3 * np.pi / g.half_length
-        phi = from_displacement(Field(g, 0.3 + 0.999 / xi * np.sin(xi * g.x)))
+        phi = Diffeomorphism(g, Field(g, 0.3 + 0.999 / xi * np.sin(xi * g.x)))
         with pytest.raises(InversionError) as err:
             invert(phi)
         assert "inverse is not resolved on the grid" in str(err.value)
@@ -125,7 +129,7 @@ class TestInvert:
     def test_margin_violation(self):
         g = make_grid(np.pi, 128)
         # phi_x reaches ~1e-9 at the trough: constructible but not invertible
-        phi = from_displacement(Field(g, -(1.0 - 1e-9) * np.sin(g.x)))
+        phi = Diffeomorphism(g, Field(g, -(1.0 - 1e-9) * np.sin(g.x)))
         with pytest.raises(PositivityError):
             invert(phi)
 

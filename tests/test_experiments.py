@@ -14,6 +14,7 @@ from bfamily.experiments import (
     build_bump,
     estimate_probe_geometry,
     nonuniformity_experiment,
+    parallel_map,
 )
 from bfamily.spectral import Field, hs_norm, make_grid
 
@@ -243,6 +244,27 @@ def test_pool_never_exceeds_resolved_rows(monkeypatch, jobs, pool):
     report = nonuniformity_experiment(small_experiment_config(), jobs=jobs)
     assert sizes == pool
     assert [row.n for row in report.rows] == [1, 2, 4]
+
+
+def floating_point_handling(_):
+    return np.geterr()
+
+
+def test_pool_workers_take_the_callers_floating_point_handling(monkeypatch):
+    # spawned workers start from numpy's defaults (forked ones would inherit
+    # the caller's handling either way)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from functools import partial
+
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(
+        "concurrent.futures.ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=spawn)
+    )
+    with np.errstate(all="ignore", under="raise"):
+        handling = parallel_map(floating_point_handling, [1, 2], 2)
+    expected = {"divide": "ignore", "over": "ignore", "under": "raise", "invalid": "ignore"}
+    assert handling == [expected] * 2
 
 
 def test_build_bump_alone_decides_which_n_run(monkeypatch):

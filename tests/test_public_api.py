@@ -1,4 +1,5 @@
-"""Every public function and method of the package has a caller in the package."""
+"""Every public function and method of the package has a caller in the package,
+and its classes define no special method beyond the protocol it uses."""
 
 import ast
 from collections import Counter
@@ -6,10 +7,16 @@ from pathlib import Path
 
 import bfamily
 
-# laboratory identities and artifact readers only the acceptance suite and bench/ call
-ALLOWED = {
-    "rhs_eulerian", "christoffel_at", "christoffel_id", "eulerian_from_lagrangian",
-    "read_diffeo_csv", "read_experiment_rows", "Field.from_function",
+SRC = Path(bfamily.__file__).parent
+
+# the flow-to-velocity map, which the acceptance suite calls and which is to
+# gain a caller in src/, and the report reader bench/ calls
+ALLOWED = {"eulerian_from_lagrangian", "read_experiment_rows"}
+
+# dataclass and error construction, config lookup and Field arithmetic
+# (dexp's u0 + eps * v needs __rmul__, bound to __mul__)
+PROTOCOL = {
+    "__init__", "__post_init__", "__getitem__", "__add__", "__sub__", "__mul__", "__rmul__",
 }
 
 
@@ -22,11 +29,14 @@ def referenced_names(node) -> Counter:
     )
 
 
+def source_trees() -> list:
+    return [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+
+
 def public_callers() -> dict:
     """Qualified name of each public function and method in src/ -> whether
     anything in src/ outside its own definition references it."""
-    src = Path(bfamily.__file__).parent
-    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    trees = source_trees()
     references = sum(map(referenced_names, trees), Counter())
     defined = []  # (qualified name, bare name, def node)
     for node in (node for tree in trees for node in tree.body):
@@ -58,3 +68,28 @@ def test_allowed_names_are_defined_and_still_uncalled():
     callers = public_callers()
     stale = sorted(name for name in ALLOWED if callers.get(name, True))
     assert not stale, f"ALLOWED names that are gone or now have a caller: {stale}"
+
+
+def class_attributes(cls: ast.ClassDef) -> list:
+    """Names a class body defines by def or binds by plain assignment."""
+    names = []
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            names.append(item.name)
+        elif isinstance(item, ast.Assign):
+            names.extend(t.id for t in item.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_classes_define_only_the_protocol_dunders_the_package_uses():
+    # public_callers skips dunders, so a special method kept for the tests
+    # alone would go unseen there
+    extra = sorted(
+        f"{cls.name}.{name}"
+        for tree in source_trees()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for name in class_attributes(cls)
+        if name.startswith("__") and name.endswith("__") and name not in PROTOCOL
+    )
+    assert not extra, f"dunders outside the protocol the package uses: {extra}"
