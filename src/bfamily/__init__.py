@@ -19,8 +19,8 @@ from .dynamics import (
     SprayState,
     Trajectory,
     default_dt,
-    dexp,
     eulerian_from_lagrangian,
+    exp_and_differential,
     exp_map,
     solve_eulerian,
     solve_geodesic,

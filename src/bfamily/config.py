@@ -50,7 +50,7 @@ _FAMILY_KEYS = {
 _EXPERIMENT_KEYS = {
     "experiment.R": ("float", 0.4),
     "experiment.n_values": ("int_list", (1, 2, 4, 8, 16)),
-    "experiment.eps_dexp": ("float", 0.05),
+    "experiment.eps_dexp": ("float", 0.05),  # accepted, ignored: d exp is a Jacobi field
 }
 
 _SWEEP_KEYS = {
@@ -224,7 +224,6 @@ class RunConfig:
             R=self["experiment.R"],
             n_values=self["experiment.n_values"],
             solver=self.build_solver(u0),
-            eps_dexp=self["experiment.eps_dexp"],
         )
 
 

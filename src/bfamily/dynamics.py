@@ -25,7 +25,13 @@ the last being the quadratic through t - dt, t and t + dt/2 (where
 (G2 + G3)/2 lies on the trajectory to O(dt^3)) evaluated at t + dt.  The
 first step starts stage 1 cold and stages 2 and 4 from G1 and 2 G3 - G1.
 As y o phi = A_phi phi_t, the transported momentum (y o phi) phi_x^b is
-phi_x^(b-1) S phi_t: no inversion.
+phi_x^(b-1) S phi_t: no inversion.  It stays y0 = S u0 at phi = id, so the
+flow also solves the first-order momentum form phi_t = g, S g = y0 phi_x^(1-b).
+exp_and_differential marches it with its Jacobi field along v, (delta d)' =
+delta g = W + (g_x / phi_x) delta d (as g = u o phi), W = (delta u) o phi:
+    S W = dy0 phi_x^(1-b) - (b - 1) f delta phi_x - D(f delta d),
+f = y0 phi_x^(-b), delta phi_x = D delta d, dy0 = S v at phi = id; a stage is
+two batched transform pairs and two CG solves started by the predictor above.
 
 _march is the only RK4 loop and builds every Trajectory: it owns the step
 schedule, finiteness check, snapshot cadence, guards and termination.  A
@@ -239,6 +245,33 @@ def _christoffel_at_arr(
     return _solve_conjugated_helmholtz(grid, phi_x, rhs, g0, sg0)
 
 
+def _stage_predictor(first=None):
+    """(start, record) of a march's CG starts; its first stage starts from first (None: cold)."""
+    gam = [None] * 4  # this step's stage values G1..G4
+    prev = []  # the previous step's P1..P4
+
+    def start(stage):
+        if stage == 0:
+            return prev[3] if prev else first
+        if stage == 1:  # linear in time through t - dt/2 and t, at t + dt/2
+            return 2.0 * gam[0] - prev[2] if prev else gam[0]
+        if stage == 2:
+            return gam[1]
+        if not prev:  # linear through t and t + dt/2, at t + dt
+            return 2.0 * gam[2] - gam[0]
+        # quadratic through t - dt, t and t + dt/2 (where (G2 + G3)/2 lies
+        # on the trajectory to O(dt^3)), at t + dt
+        return prev[0] / 3.0 - 2.0 * gam[0] + (4.0 / 3.0) * (gam[1] + gam[2])
+
+    def record(stage, value):
+        gam[stage] = value
+        if stage == 3:
+            prev[:] = gam
+        return value
+
+    return start, record
+
+
 def _rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
     """One classical RK4 step; rhs(y, stage) is called with stage = 0, 1, 2, 3."""
     k1 = rhs(y, 0)
@@ -295,44 +328,27 @@ def solve_eulerian(u0: Field, params: BParams, config: SolverConfig) -> Trajecto
     )
 
 
+def _phi_x_guard(grid: Grid, config: SolverConfig):
+    """_march's guard on the flow map whose displacement is the state's first row."""
+    return lambda y: np.min(1.0 + grid.irfft(grid.d1 * y[0])) < config.min_phix, BLOWUP_PHIX
+
+
 def solve_geodesic(u0: Field, params: BParams, config: SolverConfig) -> Trajectory:
     """RK4 on the spectra of (displacement, phi_t); stops at the phi_x guard."""
     grid = u0.grid
-    gam = [None] * 4  # this step's stage values G1..G4
-    prev = None  # the previous step's P1..P4
-
-    def start(stage):
-        """The Christoffel solve's initial guess, predicted from G and P."""
-        if stage == 0:
-            return None if prev is None else prev[3]
-        if stage == 1:  # linear in time through t - dt/2 and t, at t + dt/2
-            return gam[0] if prev is None else 2.0 * gam[0] - prev[2]
-        if stage == 2:
-            return gam[1]
-        if prev is None:  # linear through t and t + dt/2, at t + dt
-            return 2.0 * gam[2] - gam[0]
-        # quadratic through t - dt, t and t + dt/2 (where (G2 + G3)/2 lies
-        # on the trajectory to O(dt^3)), at t + dt
-        return prev[0] / 3.0 - 2.0 * gam[0] + (4.0 / 3.0) * (gam[1] + gam[2])
+    start, record = _stage_predictor()
 
     def rhs(y, stage):
-        nonlocal prev
-        gam[stage] = _christoffel_at_arr(grid, params.b, y[0], y[1], start(stage))
-        if stage == 3:
-            prev = list(gam)
-        return np.array([y[1], gam[stage]])
+        gam = record(stage, _christoffel_at_arr(grid, params.b, y[0], y[1], start(stage)))
+        return np.array([y[1], gam])
 
     def snapshot(y):
         disp, phit = grid.irfft(y)
         return SprayState(Diffeomorphism(grid, Field(grid, disp)), Field(grid, phit))
 
-    guard = (
-        lambda y: np.min(1.0 + grid.irfft(grid.d1 * y[0])) < config.min_phix,
-        BLOWUP_PHIX,
-    )
     first = SprayState(identity(grid), Field(grid, u0.values))
     y0 = grid.rfft(np.array([np.zeros(grid.n_points), u0.values]))
-    return _march(params, config, first, y0, rhs, snapshot, guard)
+    return _march(params, config, first, y0, rhs, snapshot, _phi_x_guard(grid, config))
 
 
 def _time_one(solve, u0: Field, params: BParams, config: SolverConfig, outside: str):
@@ -358,17 +374,42 @@ def time_one_map(u0: Field, params: BParams, config: SolverConfig) -> Field:
     )
 
 
-def dexp(
-    u0: Field, v: Field, params: BParams, eps: float, config: SolverConfig
-) -> Field:
-    """Central-difference differential of exp at u0 in direction v."""
+def _solve_jacobi(u0: Field, params: BParams, config: SolverConfig, v: Field) -> Trajectory:
+    """RK4 on the spectra of (d, delta d): the momentum-form flow of u0 and its Jacobi field."""
     u0._check_same_grid(v)
-    plus = exp_map(u0 + eps * v, params, config)
-    minus = exp_map(u0 + (-eps) * v, params, config)
-    return Field(
-        u0.grid,
-        (plus.displacement.values - minus.displacement.values) / (2.0 * eps),
-    )
+    grid, b, d1 = u0.grid, params.b, u0.grid.d1
+    y0, dy0 = (transported_momentum(SprayState(identity(grid), w), b).values for w in (u0, v))
+    start, record = _stage_predictor(grid.rfft(np.array([u0.values, v.values])))
+
+    def rhs(y, stage):
+        guess = start(stage)
+        samples = grid.irfft(np.concatenate([d1 * y, y[1:], guess, d1 * guess]))
+        phi_x, dphi_x, dd = 1.0 + samples[0], samples[1], samples[2]
+        if (low := np.min(phi_x)) <= 0.0:
+            raise PositivityError(f"flow map degenerated inside a stage (min phi_x = {low:.3e})")
+        f = y0 * phi_x**-b  # y o phi
+        terms = grid.rfft(np.array([
+            f * phi_x, dy0 * phi_x**(1.0 - b) - (b - 1.0) * f * dphi_x, f * dd,
+            *(phi_x * samples[3:5]), *(samples[5:] / phi_x),
+        ]))
+        sg = terms[3:5] - d1 * terms[5:]  # S of both starts
+        g = _solve_conjugated_helmholtz(grid, phi_x, terms[0], guess[0], sg[0])
+        w = _solve_conjugated_helmholtz(grid, phi_x, terms[1] - d1 * terms[2], guess[1], sg[1])
+        record(stage, np.array([g, w]))
+        return np.array([g, w + grid.rfft(grid.irfft(d1 * g) / phi_x * dd)])
+
+    def snapshot(y):
+        disp, dd = grid.irfft(y)
+        return Diffeomorphism(grid, Field(grid, disp)), Field(grid, dd)
+
+    first, y = (identity(grid), Field.zeros(grid)), grid.rfft(np.zeros((2, grid.n_points)))
+    return _march(params, config, first, y, rhs, snapshot, _phi_x_guard(grid, config))
+
+
+def exp_and_differential(u0: Field, v: Field, params: BParams, config: SolverConfig):
+    """(exp_{u0}(1), d_{u0}exp(v)), the time-one flow of u0 and its Jacobi field."""
+    return _time_one(lambda *args: _solve_jacobi(*args, v), u0, params, config,
+                     "initial velocity outside the exp domain")
 
 
 def transported_momentum(state: SprayState, b: float) -> Field:

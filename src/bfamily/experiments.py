@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .diagnostics import momentum, pushforward_reconstruct
-from .dynamics import BParams, SolverConfig, dexp, exp_map, time_one_map
+from .dynamics import BParams, SolverConfig, exp_and_differential, exp_map, time_one_map
 from .errors import (
     ConfigError, DegenerateProbeError, ExpDomainError, SolverError, UnderResolvedError
 )
@@ -33,15 +33,14 @@ class NonUniformityConfig:
     R: float
     n_values: tuple
     solver: SolverConfig
-    eps_dexp: float
 
     def __post_init__(self):
         if self.u0.grid != self.v.grid:
             raise ValueError("base point and probe live on different grids")
         if hs_norm(self.v, self.params.s) <= 0.0:
             raise DegenerateProbeError("probe direction must be nonzero")
-        if self.R <= 0.0 or self.eps_dexp <= 0.0:
-            raise ValueError("R and eps_dexp must be positive")
+        if self.R <= 0.0:
+            raise ValueError("R must be positive")
         if any(n < 1 for n in self.n_values):
             raise ValueError("n_values must be >= 1")
 
@@ -109,7 +108,7 @@ def estimate_probe_geometry(cfg: NonUniformityConfig):
     largest, the normalized differential there, and 1.5 times the steepest
     slope of exp(u0) as a Lipschitz constant.
     """
-    d = dexp(cfg.u0, cfg.v, cfg.params, cfg.eps_dexp, cfg.solver)
+    phi, d = exp_and_differential(cfg.u0, cfg.v, cfg.params, cfg.solver)
     i0 = int(np.argmax(np.abs(d.values)))
     m_est = float(np.abs(d.values[i0])) / hs_norm(cfg.v, cfg.params.s)
     if m_est < 1e-12:
@@ -117,7 +116,6 @@ def estimate_probe_geometry(cfg: NonUniformityConfig):
             "differential of exp vanishes along the probe; change v"
         )
     x0_est = float(cfg.u0.grid.x[i0])
-    phi = exp_map(cfg.u0, cfg.params, cfg.solver)
     L_est = 1.5 * float(np.max(phi.phi_x))
     return x0_est, m_est, L_est
 

@@ -35,20 +35,22 @@ def write_field_csv(path, field: Field):
 
 
 def read_field_csv(path) -> Field:
-    """The field of an `x,value` CSV whose x column is a uniform [-L, L) grid."""
-    header, *rows = Path(path).read_text().strip().split("\n")
+    """The field of an `x,value` CSV on a uniform [-L, L) grid; errors name path and line."""
+    header, *rows = (text := Path(path).read_text()).strip().split("\n")
+    first = text.count("\n", 0, len(text) - len(text.lstrip())) + 2  # rows[0]'s line number
     if header != "x,value":
         raise ConfigError(f"{path}: expected header 'x,value'")
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    x, values = [], []
-    for row in rows:
-        a, b = row.split(",")
-        x.append(float(a))
-        values.append(float(b))
+    x, values = np.empty((2, len(rows)))
+    for i, row in enumerate(rows):
+        try:
+            x[i], values[i] = map(float, row.split(","))
+        except ValueError:
+            raise ConfigError(f"{path}: line {first + i}: malformed field row '{row}'") from None
     grid = make_grid(-x[0], len(x))
-    if not np.array_equal(grid.x, x):
-        raise ConfigError("x column is not a uniform [-L, L) grid")
+    if (off := np.flatnonzero(grid.x != x)).size:
+        raise ConfigError(f"{path}: line {first + off[0]}: x column is not a uniform [-L, L) grid")
     return Field(grid, values)
 
 

@@ -5,8 +5,9 @@ or read: the Helmholtz inverse, the dealiased product, the Eulerian
 right-hand side and the Christoffel forms as Fields, the homogeneous H^s
 seminorm and its FFT-free Slobodeckij counterpart, numerical support and
 the disjoint-support ratio, the time-amplitude scaling residual, the flow
-integrated from a stored velocity, and a reader of the flow-map CSVs that
-`solve --formulation lagrangian` writes.
+integrated from a stored velocity, the central-difference differential of
+exp, and a reader of the flow-map CSVs that `solve --formulation
+lagrangian` writes.
 """
 
 import hashlib
@@ -25,6 +26,7 @@ from bfamily.dynamics import (
     Trajectory,
     _christoffel_at_arr,
     _eulerian_rhs,
+    exp_map,
     solve_eulerian,
 )
 from bfamily.errors import SolverError
@@ -217,6 +219,20 @@ def flow_from_velocity(traj: Trajectory) -> Trajectory:
         phi = Diffeomorphism(grid, Field(grid, disp))  # raises on phi_x <= 0
         states.append(SprayState(phi, Field(grid, evaluate_field(u_b, grid.x + disp))))
     return Trajectory(traj.params, traj.config, traj.times, states, traj.termination)
+
+
+def central_dexp(
+    u0: Field, v: Field, params: BParams, eps: float, config: SolverConfig
+) -> Field:
+    """(exp(u0 + eps v) - exp(u0 - eps v)) / (2 eps) from two geodesic solves:
+    an O(eps^2) oracle for the Jacobi displacement of exp_and_differential."""
+    u0._check_same_grid(v)
+    plus = exp_map(u0 + eps * v, params, config)
+    minus = exp_map(u0 + (-eps) * v, params, config)
+    return Field(
+        u0.grid,
+        (plus.displacement.values - minus.displacement.values) / (2.0 * eps),
+    )
 
 
 def read_diffeo_csv(path) -> Diffeomorphism:

@@ -26,7 +26,6 @@ from bfamily.diagnostics import (
 from bfamily.dynamics import (
     BParams,
     SolverConfig,
-    dexp,
     eulerian_from_lagrangian,
     exp_map,
     solve_eulerian,
@@ -216,7 +215,6 @@ def _experiment_config(grid, dt):
         R=0.4,
         n_values=(1, 2, 4, 8, 16),
         solver=SolverConfig(dt=dt, T=1.0, snapshot_stride=10**9),
-        eps_dexp=0.05,
     )
 
 

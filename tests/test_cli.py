@@ -16,6 +16,7 @@ from helpers import FAST_SOLVE, check_golden, read_diffeo_csv, record_pools, tre
 from bfamily.cli import build_parser, main
 from bfamily.config import parse_config
 from bfamily.dynamics import exp_map, solve_geodesic
+from bfamily.errors import ConfigError
 from bfamily.io import read_experiment_rows, read_field_csv
 
 
@@ -544,7 +545,7 @@ MANIFEST_RUNS = {
         "nonuniform",
         {"m_est", "x0_est", "L_est", "resolved_n", "separation_persistent"},
     ),
-    # the exp map's first march ends at the phi_x guard
+    # the probe geometry's march of the flow of u0 ends at the phi_x guard
     "nonuniform-blowup": (
         ["nonuniform"], NONUNIFORM_CFG + "solver.min_phix = 0.999\n", 2, "nonuniform",
         {"blowup"},
@@ -577,7 +578,7 @@ def test_every_manifest_carries_the_base_keys(tmp_path, case):
     if "termination" in fields:
         assert manifest["termination"] == ("completed" if code == 0 else "blowup_phix")
     if "blowup" in fields:
-        assert manifest["blowup"].endswith("(blowup_phix at t = 0.01)")
+        assert manifest["blowup"].endswith("(blowup_phix at t = 0.015)")
 
 
 @pytest.mark.parametrize("command", ["solve", "conserve"])
@@ -681,6 +682,42 @@ def test_header_only_field_csv_is_config_error(tmp_path):
     text = "\n".join(kept + ["initial.family = file", f"initial.path = {field}"])
     err = assert_config_error_without_output(tmp_path, "solve", text)
     assert err.rstrip().endswith("no data rows")
+
+
+@pytest.mark.parametrize(
+    "line, row",
+    [(2, "1.0"), (5, "-20,abc"), (9, "-20,1,2"), (7, "0.5,0")],
+    ids=["one-value", "not-a-float", "three-values", "x-off-the-grid"],
+)
+def test_bad_field_csv_row_names_the_file_and_line(tmp_path, line, row):
+    from bfamily.io import write_field_csv
+    from bfamily.spectral import Field, make_grid
+
+    field = tmp_path / "field.csv"
+    write_field_csv(field, Field.zeros(make_grid(20, 64)))
+    lines = field.read_text().splitlines()
+    lines[line - 1] = row
+    field.write_text("\n".join(lines) + "\n")
+    kept = [line for line in FAST_SOLVE.splitlines() if not line.startswith("initial.")]
+    text = "\n".join(kept + ["initial.family = file", f"initial.path = {field}"])
+    err = assert_config_error_without_output(tmp_path, "solve", text)
+    assert err.startswith(f"config error: {field}: line {line}: "), err
+
+
+def test_field_csv_may_start_with_blank_lines(tmp_path):
+    from bfamily.io import write_field_csv
+    from bfamily.spectral import Field, make_grid
+
+    grid = make_grid(20, 64)
+    field = tmp_path / "field.csv"
+    write_field_csv(field, Field(grid, np.cos(grid.x)))
+    lines = field.read_text().splitlines()
+    field.write_text("\n \n" + "\n".join(lines) + "\n")
+    assert np.array_equal(read_field_csv(field).values, np.cos(grid.x))
+    lines[4] = "-20,abc"  # the file's line 7
+    field.write_text("\n \n" + "\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r": line 7: malformed field row '-20,abc'"):
+        read_field_csv(field)
 
 
 def run_fresh(tmp_path, command, text, *flags, out=None):

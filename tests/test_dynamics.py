@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from helpers import (
+    central_dexp,
     christoffel_at,
     christoffel_id,
     dealiased_product,
@@ -20,8 +21,8 @@ from bfamily.dynamics import (
     SolverConfig,
     SprayState,
     default_dt,
-    dexp,
     eulerian_from_lagrangian,
+    exp_and_differential,
     exp_map,
     solve_eulerian,
     solve_geodesic,
@@ -558,7 +559,7 @@ class TestDexp:
         u0 = gaussian_field(g, amp=0.2)
         params = BParams(b=2.0, s=S)
         cfg = SolverConfig(dt=0.02, T=1.0)
-        out = dexp(u0, Field.zeros(g), params, 0.05, cfg)
+        out = central_dexp(u0, Field.zeros(g), params, 0.05, cfg)
         assert np.max(np.abs(out.values)) == 0.0
 
     def test_at_zero_base_point_is_identity_map(self):
@@ -568,7 +569,7 @@ class TestDexp:
         cfg = SolverConfig(dt=5e-3, T=1.0, snapshot_stride=10**9)
         errs = []
         for eps in (0.1, 0.05):
-            d = dexp(Field.zeros(g), v, params, eps, cfg)
+            d = central_dexp(Field.zeros(g), v, params, eps, cfg)
             errs.append(hs_norm(d - v, S))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.35)
         assert errs[1] < 0.01 * hs_norm(v, S)
@@ -579,11 +580,72 @@ class TestDexp:
         v = gaussian_field(g, amp=0.8, width=3.0, center=1.0)
         params = BParams(b=2.0, s=S)
         cfg = SolverConfig(dt=5e-3, T=1.0, snapshot_stride=10**9)
-        d1 = dexp(u0, v, params, 0.2, cfg)
-        d2 = dexp(u0, v, params, 0.1, cfg)
-        d3 = dexp(u0, v, params, 0.05, cfg)
+        d1 = central_dexp(u0, v, params, 0.2, cfg)
+        d2 = central_dexp(u0, v, params, 0.1, cfg)
+        d3 = central_dexp(u0, v, params, 0.05, cfg)
         ratio = hs_norm(d1 - d2, S) / hs_norm(d2 - d3, S)
         assert ratio == pytest.approx(4.0, rel=0.35)
+
+
+class TestJacobiMarch:
+    """exp_and_differential: the flow of u0 and its Jacobi field in one march."""
+
+    def test_at_zero_base_point_returns_the_probe(self):
+        # d exp_0 is the identity, so m_est is max|v| / ||v||_{H^2}
+        g = make_grid(20, 512)
+        v = gaussian_field(g, amp=4.5, width=5.0)
+        cfg = SolverConfig(dt=5e-3, T=1.0, snapshot_stride=10**9)
+        phi, d = exp_and_differential(Field.zeros(g), v, BParams(b=2.0, s=S), cfg)
+        assert np.max(np.abs(phi.displacement.values)) == 0.0
+        assert np.max(np.abs(d.values - v.values)) <= 1e-10 * np.max(np.abs(v.values))
+        m = np.max(np.abs(d.values)) / hs_norm(v, S)
+        assert m == pytest.approx(np.max(np.abs(v.values)) / hs_norm(v, S), rel=1e-8)
+
+    def test_central_difference_converges_at_order_two(self):
+        g = make_grid(20, 256)
+        u0 = gaussian_field(g, amp=0.3)
+        v = gaussian_field(g, amp=0.8, width=3.0, center=1.0)
+        params = BParams(b=2.0, s=S)
+        cfg = SolverConfig(dt=5e-3, T=1.0, snapshot_stride=10**9)
+        _, jacobi = exp_and_differential(u0, v, params, cfg)
+        errs = [
+            hs_norm(central_dexp(u0, v, params, eps, cfg) - jacobi, S)
+            for eps in (0.1, 0.05, 0.025)
+        ]
+        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.35)
+        assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.35)
+
+    def test_zero_probe_gives_exactly_zero(self):
+        g = make_grid(20, 128)
+        cfg = SolverConfig(dt=0.02, T=1.0)
+        _, d = exp_and_differential(
+            gaussian_field(g, amp=0.2), Field.zeros(g), BParams(b=2.0, s=S), cfg
+        )
+        assert np.max(np.abs(d.values)) == 0.0
+
+    @pytest.mark.parametrize(
+        "n, u0_args, dt",
+        [(512, (0.25, 3.0), 5e-3), (256, (0.5, 2.0), 5e-3)],
+        ids=["nonuniform-seed-0", "conserve-like"],
+    )
+    def test_base_flow_matches_solve_geodesic(self, n, u0_args, dt):
+        g = make_grid(20, n)
+        u0, v = gaussian_field(g, *u0_args), gaussian_field(g, amp=4.5, width=5.0)
+        params, cfg = BParams(b=2.0, s=S), SolverConfig(dt=dt, T=1.0)
+        phi, _ = exp_and_differential(u0, v, params, cfg)
+        ref = exp_map(u0, params, cfg)
+        diff = phi.displacement.values - ref.displacement.values
+        assert np.max(np.abs(diff)) <= 1e-10
+
+    def test_blowup_quotes_the_base_flows_ending(self):
+        g = make_grid(20, 128)
+        u0, v = gaussian_field(g, amp=1.0), gaussian_field(g, amp=4.5, width=5.0)
+        params, cfg = BParams(b=2.0, s=S), SolverConfig(dt=0.01, T=1.0, min_phix=0.999)
+        with pytest.raises(ExpDomainError) as err:
+            exp_and_differential(u0, v, params, cfg)
+        ending = solve_geodesic(u0, params, cfg).ending
+        assert ending == "blowup_phix at t = 0.01"
+        assert str(err.value) == f"initial velocity outside the exp domain ({ending})"
 
 
 class TestFlowFromVelocity:

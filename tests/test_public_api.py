@@ -14,7 +14,7 @@ SRC = Path(bfamily.__file__).parent
 ALLOWED = {"eulerian_from_lagrangian", "read_experiment_rows"}
 
 # dataclass and error construction, config lookup and Field arithmetic
-# (dexp's u0 + eps * v needs __rmul__, bound to __mul__)
+# (the witness's (1.0 / n) * cfg.v needs __rmul__, bound to __mul__)
 PROTOCOL = {
     "__init__", "__post_init__", "__getitem__", "__add__", "__sub__", "__mul__", "__rmul__",
 }
