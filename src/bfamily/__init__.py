@@ -3,7 +3,6 @@
 from .diagnostics import (
     ConservationReport,
     conservation_residual,
-    momentum,
     pushforward_reconstruct,
 )
 from .diffeo import (
@@ -22,6 +21,7 @@ from .dynamics import (
     eulerian_from_lagrangian,
     exp_and_differential,
     exp_map,
+    momentum,
     solve_eulerian,
     solve_geodesic,
     time_one_map,

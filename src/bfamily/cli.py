@@ -61,23 +61,24 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _write_eulerian_snapshots(out: Path, traj) -> list:
-    entries = []
-    for i, (t, state) in enumerate(zip(traj.times, traj.states)):
-        name = f"u_{i:06d}.csv"
-        write_field_csv(out / name, state)
-        entries.append({"t": float(t), "files": [name]})
-    return entries
+# each formulation of solve: its solver, and the (file prefix, writer, part)
+# of each CSV one snapshot state is written to
+_FORMULATIONS = {
+    "eulerian": (solve_eulerian, lambda u: [("u", write_field_csv, u)]),
+    "lagrangian": (solve_geodesic, lambda state: [
+        ("phi", write_diffeo_csv, state.phi), ("vel", write_field_csv, state.phit)]),
+}
 
 
-def _write_lagrangian_snapshots(out: Path, traj) -> list:
+def _write_snapshots(out: Path, traj, files) -> list:
+    """Write each snapshot's CSVs, files(state), into out; returns the manifest entries."""
     entries = []
     for i, (t, state) in enumerate(zip(traj.times, traj.states)):
-        phi_name = f"phi_{i:06d}.csv"
-        vel_name = f"vel_{i:06d}.csv"
-        write_diffeo_csv(out / phi_name, state.phi)
-        write_field_csv(out / vel_name, state.phit)
-        entries.append({"t": float(t), "files": [phi_name, vel_name]})
+        names = []
+        for prefix, write, part in files(state):
+            names.append(f"{prefix}_{i:06d}.csv")
+            write(out / names[-1], part)
+        entries.append({"t": float(t), "files": names})
     return entries
 
 
@@ -114,19 +115,15 @@ def _termination_code(traj) -> int:
 
 
 def run_solve(cfg: RunConfig, out: Path, options):
-    formulation = options.formulation  # the parser's choices: eulerian, lagrangian
+    formulation = options.formulation  # the parser's choices: _FORMULATIONS
     u0, params, solver = _setup(cfg, out)
-    if formulation == "eulerian":
-        traj = solve_eulerian(u0, params, solver)
-        snapshots = _write_eulerian_snapshots(out, traj)
-    else:
-        traj = solve_geodesic(u0, params, solver)
-        snapshots = _write_lagrangian_snapshots(out, traj)
+    solve, files = _FORMULATIONS[formulation]
+    traj = solve(u0, params, solver)
     fields = {
         "formulation": formulation,
         "termination": traj.termination,
         "times": [float(t) for t in traj.times],
-        "snapshots": snapshots,
+        "snapshots": _write_snapshots(out, traj, files),
     }
     return _termination_code(traj), params, solver, fields
 
@@ -267,7 +264,7 @@ def _jobs(text: str) -> int:
 
 # each flag once: its name -> its add_argument keywords
 _FLAGS = {
-    "formulation": {"choices": ("eulerian", "lagrangian"), "default": "eulerian"},
+    "formulation": {"choices": tuple(_FORMULATIONS), "default": "eulerian"},
     "tol": {"type": _tolerance, "default": CONSERVE_TOL},
     "jobs": {"type": _jobs, "default": 1},
 }

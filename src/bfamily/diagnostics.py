@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffeo import Diffeomorphism, compose_field, invert
-from .dynamics import Trajectory, transported_momentum
-from .spectral import Field, derivative, hs_norm
+from .dynamics import Trajectory, momentum, transported_momentum  # momentum: re-exported
+from .spectral import Field, hs_norm
 
 
 @dataclass(eq=False)
@@ -33,11 +33,6 @@ class ConservationReport:
     @property
     def max_residual(self) -> float:
         return float(np.max(self.residual_s_minus_2))
-
-
-def momentum(u: Field) -> Field:
-    """Momentum density y = u - u_xx."""
-    return u - derivative(u, 2)
 
 
 def conservation_residual(traj: Trajectory) -> ConservationReport:

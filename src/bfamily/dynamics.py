@@ -25,12 +25,12 @@ the last being the quadratic through t - dt, t and t + dt/2 (where
 (G2 + G3)/2 lies on the trajectory to O(dt^3)) evaluated at t + dt.  The
 first step starts stage 1 cold and stages 2 and 4 from G1 and 2 G3 - G1.
 As y o phi = A_phi phi_t, the transported momentum (y o phi) phi_x^b is
-phi_x^(b-1) S phi_t: no inversion.  It stays y0 = S u0 at phi = id, so the
-flow also solves the first-order momentum form phi_t = g, S g = y0 phi_x^(1-b).
+phi_x^(b-1) S phi_t: no inversion.  It stays y0 = S u0 (momentum) at phi = id,
+so the flow also solves the first-order momentum form phi_t = g, S g = y0 phi_x^(1-b).
 exp_and_differential marches it with its Jacobi field along v, (delta d)' =
 delta g = W + (g_x / phi_x) delta d (as g = u o phi), W = (delta u) o phi:
     S W = dy0 phi_x^(1-b) - (b - 1) f delta phi_x - D(f delta d),
-f = y0 phi_x^(-b), delta phi_x = D delta d, dy0 = S v at phi = id; a stage is
+f = y0 phi_x^(-b), delta phi_x = D delta d, dy0 = momentum(v); a stage is
 two batched transform pairs and two CG solves started by the predictor above.
 
 _march is the only RK4 loop and builds every Trajectory: it owns the step
@@ -47,7 +47,7 @@ import numpy as np
 
 from .diffeo import Diffeomorphism, compose_field, identity, invert
 from .errors import ExpDomainError, GridError, PositivityError, SolverError
-from .spectral import Field, Grid
+from .spectral import Field, Grid, derivative
 
 COMPLETED = "completed"
 BLOWUP_NORM = "blowup_norm"
@@ -378,7 +378,7 @@ def _solve_jacobi(u0: Field, params: BParams, config: SolverConfig, v: Field) ->
     """RK4 on the spectra of (d, delta d): the momentum-form flow of u0 and its Jacobi field."""
     u0._check_same_grid(v)
     grid, b, d1 = u0.grid, params.b, u0.grid.d1
-    y0, dy0 = (transported_momentum(SprayState(identity(grid), w), b).values for w in (u0, v))
+    y0, dy0 = momentum(u0).values, momentum(v).values
     start, record = _stage_predictor(grid.rfft(np.array([u0.values, v.values])))
 
     def rhs(y, stage):
@@ -410,6 +410,11 @@ def exp_and_differential(u0: Field, v: Field, params: BParams, config: SolverCon
     """(exp_{u0}(1), d_{u0}exp(v)), the time-one flow of u0 and its Jacobi field."""
     return _time_one(lambda *args: _solve_jacobi(*args, v), u0, params, config,
                      "initial velocity outside the exp domain")
+
+
+def momentum(u: Field) -> Field:
+    """Momentum density y = u - D(D u): S at phi = id, D's Nyquist convention included."""
+    return u - derivative(u, 2)
 
 
 def transported_momentum(state: SprayState, b: float) -> Field:

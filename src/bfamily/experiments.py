@@ -15,14 +15,15 @@ from functools import partial
 
 import numpy as np
 
-from .diagnostics import momentum, pushforward_reconstruct
-from .dynamics import BParams, SolverConfig, exp_and_differential, exp_map, time_one_map
+from .diagnostics import pushforward_reconstruct
+from .dynamics import BParams, SolverConfig, exp_and_differential, exp_map, momentum, time_one_map
 from .errors import (
     ConfigError, DegenerateProbeError, ExpDomainError, SolverError, UnderResolvedError
 )
 from .spectral import Field, Grid, hs_norm
 
 RESOLUTION_FACTOR = 4  # bump radius must exceed this many grid spacings
+PERSISTENCE_FLOOR = 0.1  # output separation may not fall below this share of its first value
 
 
 @dataclass(frozen=True)
@@ -67,15 +68,15 @@ class ExperimentReport:
     def resolved_rows(self):
         return [r for r in self.rows if r.resolved_ok]
 
-    def separation_persistence_ok(self, floor_factor: float = 0.1) -> bool:
-        """Output separation must not decay below floor_factor times its
+    def separation_persistence_ok(self) -> bool:
+        """Output separation must not decay below PERSISTENCE_FLOOR times its
         value at the smallest resolved n, while the input distance falls
         as 1/n."""
         rows = sorted(self.resolved_rows(), key=lambda r: r.n)
         if not rows:
             return False
         reference = rows[0].output_dist
-        return all(r.output_dist >= floor_factor * reference for r in rows)
+        return all(r.output_dist >= PERSISTENCE_FLOOR * reference for r in rows)
 
 
 def build_bump(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .diagnostics import ConservationReport
 from .diffeo import Diffeomorphism
-from .errors import ConfigError
+from .errors import ConfigError, FieldError, GridError
 from .experiments import ExperimentReport, ExperimentRow
 from .spectral import Field, make_grid
 
@@ -48,10 +48,18 @@ def read_field_csv(path) -> Field:
             x[i], values[i] = map(float, row.split(","))
         except ValueError:
             raise ConfigError(f"{path}: line {first + i}: malformed field row '{row}'") from None
-    grid = make_grid(-x[0], len(x))
+    try:
+        grid = make_grid(-x[0], len(x))
+    except GridError as err:  # L is the first row's -x; else the row count is at fault
+        at = "" if 0.0 < -x[0] < np.inf else f"line {first}: "
+        raise ConfigError(f"{path}: {at}{err}") from None
     if (off := np.flatnonzero(grid.x != x)).size:
         raise ConfigError(f"{path}: line {first + off[0]}: x column is not a uniform [-L, L) grid")
-    return Field(grid, values)
+    try:
+        return Field(grid, values)
+    except FieldError as err:  # the only check left is finiteness
+        bad = first + np.flatnonzero(~np.isfinite(values))[0]
+        raise ConfigError(f"{path}: line {bad}: {err}") from None
 
 
 def write_diffeo_csv(path, phi: Diffeomorphism):

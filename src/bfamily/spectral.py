@@ -3,10 +3,10 @@
 Everything lives on a uniform grid over the cell [-L, L) with N a power of
 two.  Fields are real, so the kernel works on the half spectrum k = 0..N/2
 (numpy's rfft/irfft) with wavenumbers xi_k = pi*k/L; the grid carries the
-multipliers of the derivative, the Helmholtz inverse and the 2/3 dealiasing
-mask on that half spectrum.  Norms are normalized so that the s = 0 Sobolev
-norm coincides with the rectangle-rule L^2 norm of the samples,
-sqrt(h * sum(values**2)).
+multipliers of the derivative D (every order a power of D), the Helmholtz
+inverse and the 2/3 dealiasing mask on that half spectrum.  Norms are
+normalized so that the s = 0 Sobolev norm coincides with the rectangle-rule
+L^2 norm of the samples, sqrt(h * sum(values**2)).
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ class Grid:
     Construction also fixes the sample points x and the half-spectrum
     symbols (modes k = 0..N/2) that the array kernel below uses:
       xi         wavenumbers pi*k/L
-      d1, d2     d/dx (i xi, with the unpaired Nyquist mode zeroed so odd
-                 derivatives stay real) and d^2/dx^2 (-xi^2)
-      helmholtz  1/(1 + xi^2), the inverse of 1 - d^2/dx^2
+      d1         D = d/dx: i xi, with the unpaired Nyquist mode zeroed
+      helmholtz  1/(1 + xi^2), the flat preconditioner and flux multiplier; its
+                 Nyquist entry reaches no result (times d1, a zero mode, or in CG)
       keep       1.0 on the dealiased band |k| <= N//3, else 0.0
       weights    L^2 weights of |c_k|^2 (modes 0 < k < N/2 count twice)
     The dealiased product of two truncated fields, keep * rfft(a * b), is
@@ -54,7 +54,6 @@ class Grid:
             ("x", -L + h * np.arange(N)),
             ("xi", xi),
             ("d1", d1),
-            ("d2", -(xi**2)),
             ("helmholtz", 1.0 / (1.0 + xi**2)),
             ("keep", (k <= N // 3).astype(float)),
             ("weights", weights),
@@ -131,16 +130,15 @@ class Field:
 
 
 def derivative(f: Field, k: int) -> Field:
-    """Spectral derivative of order k in {1, 2, 3}.
+    """Spectral derivative D^k of order k in {1, 2, 3}.
 
-    Odd orders zero the unpaired Nyquist mode so the result stays real
-    (the standard convention for even N).
+    Every order zeroes the unpaired Nyquist mode (the standard convention
+    for even N), so derivative(f, 2) is D(D f) up to rounding.
     """
     if k not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {k}")
     g = f.grid
-    symbol = (g.d1, g.d2, g.d1 * g.d2)[k - 1]
-    return Field(g, g.irfft(symbol * g.rfft(f.values)))
+    return Field(g, g.irfft(g.d1**k * g.rfft(f.values)))
 
 
 def hs_norm(f: Field, s: float) -> float:

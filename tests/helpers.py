@@ -1,13 +1,13 @@
 """Shared helpers and reference oracles for the test suite.
 
 The oracles are identities and views the package itself does not compute
-or read: the Helmholtz inverse, the dealiased product, the Eulerian
-right-hand side and the Christoffel forms as Fields, the homogeneous H^s
-seminorm and its FFT-free Slobodeckij counterpart, numerical support and
-the disjoint-support ratio, the time-amplitude scaling residual, the flow
-integrated from a stored velocity, the central-difference differential of
-exp, and a reader of the flow-map CSVs that `solve --formulation
-lagrangian` writes.
+or read: the Helmholtz inverse in D's Nyquist convention, the dealiased
+product, the Eulerian right-hand side and the Christoffel forms as Fields,
+the homogeneous H^s seminorm and its FFT-free Slobodeckij counterpart,
+numerical support and the disjoint-support ratio, the time-amplitude
+scaling residual, the flow integrated from a stored velocity, the
+central-difference differential of exp, and a reader of the flow-map CSVs
+that `solve --formulation lagrangian` writes.
 """
 
 import hashlib
@@ -73,9 +73,10 @@ def check_golden(key: str, digest: str):
 
 
 def helmholtz_inverse(f: Field) -> Field:
-    """(1 - d^2/dx^2)^{-1} f through the grid's multiplier 1/(1 + xi^2)."""
+    """(1 - D^2)^{-1} f through the multiplier 1/(1 - d1^2), the exact inverse
+    of momentum: D zeroes the Nyquist mode, so the multiplier is 1 there."""
     g = f.grid
-    return Field(g, g.irfft(g.helmholtz * g.rfft(f.values)))
+    return Field(g, g.irfft(g.rfft(f.values) / (1.0 - (g.d1**2).real)))
 
 
 def dealiased_product(f: Field, h: Field) -> Field:

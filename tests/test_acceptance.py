@@ -32,6 +32,7 @@ from bfamily.dynamics import (
     solve_geodesic,
 )
 from bfamily.experiments import (
+    PERSISTENCE_FLOOR,
     NonUniformityConfig,
     build_bump,
     estimate_probe_geometry,
@@ -232,7 +233,7 @@ def test_criterion_07_nonuniformity_witness():
         abs(row.input_dist - v_norm / row.n) <= 1e-12 * v_norm for row in rep.rows
     )
     disjoint_ok = all(row.disjoint_ok for row in resolved)
-    persistence_ok = rep.separation_persistence_ok(0.1)
+    persistence_ok = PERSISTENCE_FLOOR == 0.1 and rep.separation_persistence_ok()
     enough = len(resolved) >= 2
     ok = gap_ok and input_ok and disjoint_ok and persistence_ok and enough
     outs = {r.n: r.output_dist for r in resolved}

@@ -704,6 +704,30 @@ def test_bad_field_csv_row_names_the_file_and_line(tmp_path, line, row):
     assert err.startswith(f"config error: {field}: line {line}: "), err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:-1], "n_points must be a power of two >= 16, got 63"),
+        (lambda lines: [lines[0], "1.0,0", *lines[2:]],
+         "line 2: half_length must be positive and finite, got -1.0"),
+        (lambda lines: [*lines[:5], lines[5].split(",")[0] + ",nan", *lines[6:]],
+         "line 6: field values must be finite"),
+    ],
+    ids=["63-rows", "positive-first-x", "nan-value"],
+)
+def test_field_csv_grid_and_value_errors_name_the_file(tmp_path, edit, message):
+    from bfamily.io import write_field_csv
+    from bfamily.spectral import Field, make_grid
+
+    field = tmp_path / "field.csv"
+    write_field_csv(field, Field.zeros(make_grid(20, 64)))
+    field.write_text("\n".join(edit(field.read_text().splitlines())) + "\n")
+    kept = [line for line in FAST_SOLVE.splitlines() if not line.startswith("initial.")]
+    text = "\n".join(kept + ["initial.family = file", f"initial.path = {field}"])
+    err = assert_config_error_without_output(tmp_path, "solve", text)
+    assert err == f"config error: {field}: {message}\n", err
+
+
 def test_field_csv_may_start_with_blank_lines(tmp_path):
     from bfamily.io import write_field_csv
     from bfamily.spectral import Field, make_grid

@@ -58,6 +58,15 @@ class TestMomentum:
             np.abs(u.values)
         )
 
+    @pytest.mark.parametrize("b", [0.0, 2.0, 3.0])
+    def test_is_transported_momentum_at_identity(self, b):
+        # one Nyquist convention: y = u - D(D u) is S u, i.e. q at phi = id
+        g = make_grid(20, 256)
+        u = Field(g, np.random.RandomState(0).randn(256))
+        y = momentum(u).values
+        q = transported_momentum(SprayState(identity(g), u), b).values
+        assert np.max(np.abs(y - q)) <= 1e-12 * np.max(np.abs(y))
+
 
 class TestTransportedMomentum:
     @pytest.mark.parametrize("b", [0.0, 2.0, 3.0])
