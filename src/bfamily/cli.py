@@ -106,11 +106,16 @@ def _setup(cfg: RunConfig, out: Path):
     return u0, params, solver
 
 
+def _say(line: str):
+    """One stderr line in one write: pool workers' lines cannot interleave."""
+    sys.stderr.write(line + "\n")
+
+
 def _termination_code(traj) -> int:
     """EXIT_OK for a completed march; a blow-up exits 2 with one stderr line."""
     if traj.termination == COMPLETED:
         return EXIT_OK
-    print(f"blow-up: {traj.ending}", file=sys.stderr)
+    _say(f"blow-up: {traj.ending}")
     return EXIT_BLOWUP
 
 
@@ -150,7 +155,7 @@ def run_nonuniform(cfg: RunConfig, out: Path, options):
     try:
         report = nonuniformity_experiment(experiment, jobs=options.jobs)
     except ExpDomainError as err:
-        print(f"blow-up: {err}", file=sys.stderr)
+        _say(f"blow-up: {err}")
         return EXIT_BLOWUP, experiment.params, experiment.solver, {"blowup": str(err)}
     write_experiment_csv(out / "report.csv", report)
     persistent = report.separation_persistence_ok()
@@ -189,10 +194,10 @@ def _exit_code(run, *args) -> int:
     try:
         return run(*args)
     except (ConfigError, DegenerateProbeError) as err:
-        print(f"config error: {err}", file=sys.stderr)
+        _say(f"config error: {err}")
         return EXIT_CONFIG
     except BFamilyError as err:
-        print(f"run failed: {err}", file=sys.stderr)
+        _say(f"run failed: {err}")
         return EXIT_BLOWUP
 
 

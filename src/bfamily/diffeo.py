@@ -4,10 +4,11 @@ A map phi(x) = x + f(x) with periodic displacement f automatically satisfies
 phi(x + 2L) = phi(x) + 2L; the orientation invariant phi_x = 1 + f_x > 0 is
 checked spectrally at construction and is a hard error when violated.
 
-Off-grid values are produced by trigonometric interpolation: the unique
-band-limited interpolant of the samples, evaluated by direct summation over
-modes (exact for band-limited data).  The unpaired Nyquist mode is split
-symmetrically so the interpolant is real.
+Off-grid values come from trigonometric interpolation: the unique
+band-limited interpolant of the samples (exact for band-limited data), whose
+unpaired Nyquist mode is split symmetrically into a real cosine.  One Horner
+pass over the modes gives its value and its own derivative; on the grid that
+derivative is D's, since the Nyquist cosine's slope vanishes there.
 """
 
 from __future__ import annotations
@@ -19,37 +20,36 @@ import numpy as np
 from .errors import GridError, InversionError, PositivityError
 from .spectral import Field, Grid, derivative
 
-_RENORM_EVERY = 64  # fresh complex exponential every this many running powers
 _MARGIN = 1e-6  # smallest min phi_x that invert accepts
 _TOL = 1e-12  # Newton step size at which an inverse point has converged
 _MAX_NEWTON = 50
 
 
-def evaluate_field(f: Field, points: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of f at arbitrary points.
+def _interpolant(f: Field, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and slope at points of f's interpolant Re P(z)/N, z = e^{i pi (y - x_0)/L}.
 
-    O(N) per point via running powers of e^{i pi (y-x_0)/L}, renormalized
-    periodically to keep the accumulated rounding at the 1e-13 level.
-    Points outside [-L, L) are handled by periodicity of the interpolant.
-    """
-    grid = f.grid
-    n = grid.n_points
-    half = n // 2
-    L = grid.half_length
-    coeffs = grid.rfft(f.values)  # modes 0..N/2
-    theta = (np.pi / L) * (np.asarray(points, dtype=np.float64) - grid.x[0])
-    z = np.exp(1j * theta)
-    acc = np.zeros(theta.shape, dtype=np.complex128)
-    w = np.ones_like(z)
-    for k in range(1, half):
-        if k % _RENORM_EVERY == 0:
-            w = np.exp(1j * k * theta)
-        else:
-            w = w * z
-        acc += coeffs[k] * w
-    # conjugate modes double the real part; Nyquist contributes a cosine
-    out = coeffs[0].real + 2.0 * acc.real + coeffs[half].real * np.cos(half * theta)
-    return out / n
+    P's coefficients are f's half spectrum c_k, doubled for 0 < k < N/2, so its
+    Nyquist term is c_{N/2} cos(N pi (y - x_0)/2L).  One Horner pass gives P(z)
+    and P'(z), and the slope is Re(i (pi/L) z P'(z)) / N."""
+    grid, n = f.grid, f.grid.n_points
+    coeffs = grid.rfft(f.values)
+    coeffs[1:-1] *= 2.0  # conjugate modes double the real part
+    coeffs[-1] = coeffs[-1].real
+    k_1 = np.pi / grid.half_length  # the first wavenumber
+    z = np.exp(1j * k_1 * (np.asarray(points, dtype=np.float64) - grid.x[0]))
+    value = np.full(z.shape, coeffs[-1])
+    slope = np.zeros_like(value)
+    for c in coeffs[-2::-1]:
+        slope *= z
+        slope += value
+        value *= z
+        value += c
+    return value.real / n, (-k_1 / n) * (z * slope).imag
+
+
+def evaluate_field(f: Field, points: np.ndarray) -> np.ndarray:
+    """Values of the trigonometric interpolant of f at arbitrary points."""
+    return _interpolant(f, points)[0]
 
 
 @dataclass(eq=False)
@@ -100,8 +100,8 @@ def invert(phi: Diffeomorphism) -> Diffeomorphism:
     they increase over one period (the wrap phi(x_0) + 2L included), each
     target x_k, moved by whole periods into [phi(x_0), phi(x_0) + 2L), lies in
     a cell phi(x_j) <= x_k < phi(x_{j+1}) that holds a root of phi(y) = x_k.
-    Newton with the spectral derivative starts from the secant point in that
-    cell and keeps its iterates inside the shrinking bracket.  An inverse
+    Newton with the interpolant's own slope starts from the secant point in
+    that cell and keeps its iterates inside the shrinking bracket.  An inverse
     whose spectral derivative is not positive is not resolved on the grid
     and raises InversionError.
     """
@@ -116,7 +116,6 @@ def invert(phi: Diffeomorphism) -> Diffeomorphism:
     x = grid.x
     period = 2.0 * grid.half_length
     disp = phi.displacement
-    disp_x = derivative(disp, 1)
 
     nodes = np.append(x, x[0] + period)
     pos = phi.positions()
@@ -134,9 +133,9 @@ def invert(phi: Diffeomorphism) -> Diffeomorphism:
 
     converged = np.zeros(n, dtype=bool)
     for _ in range(_MAX_NEWTON):
-        resid = y + evaluate_field(disp, y) - x
-        slope = 1.0 + evaluate_field(disp_x, y)
-        step = resid / slope
+        value, slope = _interpolant(disp, y)
+        resid = y + value - x
+        step = resid / (1.0 + slope)
         below = resid < 0.0
         lo = np.where(below, y, lo)
         hi = np.where(below, hi, y)
@@ -146,7 +145,7 @@ def invert(phi: Diffeomorphism) -> Diffeomorphism:
         if np.all(converged):
             break
     if not np.all(converged):
-        worst = int(np.argmax(np.abs(y + evaluate_field(disp, y) - x)))
+        worst = int(np.argmax(np.abs(resid)))
         raise InversionError(f"Newton failed to reach {_TOL:.1e} at grid index {worst}")
     try:
         return Diffeomorphism(grid, Field(grid, y - x))

@@ -122,33 +122,28 @@ def estimate_probe_geometry(cfg: NonUniformityConfig):
 
 
 def _resolved_row(payload) -> ExperimentRow:
-    """One resolved n, from its bump w_n: two time-one maps, two flows, pushforwards."""
+    """One resolved n, from its bump w_n: each datum's time-one map, flow and pushforward."""
     cfg, n, r_n, w_n, i0 = payload
     s = cfg.params.s
     x_n = cfg.u0 + w_n
     xt_n = x_n + (1.0 / n) * cfg.v
-    input_dist = hs_norm(xt_n - x_n, s)
 
-    def run(label, fn, *args):
+    def ends(label, x):
+        """x's time-one map, its flow and its momentum pushed forward along the flow."""
         try:
-            return fn(*args)
+            u = time_one_map(x, cfg.params, cfg.solver)
+            phi = exp_map(x, cfg.params, cfg.solver)
         except (ExpDomainError, SolverError) as err:
             raise ExpDomainError(f"n = {n}, {label} sequence: {err}") from err
+        return u, phi, pushforward_reconstruct(momentum(x), phi, cfg.params.b)
 
-    u_final = run("plain", time_one_map, x_n, cfg.params, cfg.solver)
-    ut_final = run("perturbed", time_one_map, xt_n, cfg.params, cfg.solver)
-    phi_n = run("plain", exp_map, x_n, cfg.params, cfg.solver)
-    phit_n = run("perturbed", exp_map, xt_n, cfg.params, cfg.solver)
-
-    witness_gap = float(
-        np.abs(phi_n.displacement.values[i0] - phit_n.displacement.values[i0])
-    )
-    p_plain = pushforward_reconstruct(momentum(x_n), phi_n, cfg.params.b)
-    p_pert = pushforward_reconstruct(momentum(xt_n), phit_n, cfg.params.b)
+    u_final, phi_n, p_plain = ends("plain", x_n)
+    ut_final, phit_n, p_pert = ends("perturbed", xt_n)
+    witness_gap = float(np.abs(phi_n.displacement.values[i0] - phit_n.displacement.values[i0]))
     return ExperimentRow(
         n=n,
         r_n=r_n,
-        input_dist=input_dist,
+        input_dist=hs_norm(xt_n - x_n, s),
         output_dist=hs_norm(u_final - ut_final, s),
         momentum_output_dist=hs_norm(p_plain - p_pert, s - 2),
         witness_gap=witness_gap,

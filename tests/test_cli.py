@@ -339,6 +339,19 @@ class TestNonuniform:
         assert run_cli("nonuniform", "--config", str(cfg), "--out", str(out)) == 1
 
 
+def test_witness_row_blowup_names_n_and_sequence(tmp_path):
+    # the plain datum x_1 stays under the norm cap; x_1 + v leaves it at once
+    proc, out = run_fresh(tmp_path, "nonuniform", NONUNIFORM_CFG + "solver.norm_cap = 2\n")
+    assert proc.returncode == 2, proc.stderr
+    message = (
+        "n = 1, perturbed sequence: initial datum outside the time-one existence set "
+        "(blowup_norm at t = 0.005)"
+    )
+    assert proc.stderr == f"blow-up: {message}\n"
+    assert json.loads((out / "manifest.json").read_text())["blowup"] == message
+    assert not (out / "report.csv").exists()
+
+
 SWEEP_CFG = """
 sweep.command = solve
 sweep.b = 0,2,3

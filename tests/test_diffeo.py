@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bfamily import diffeo
 from bfamily.diffeo import (
     Diffeomorphism,
     compose_field,
@@ -106,6 +107,28 @@ class TestInvert:
             y = inv.positions()
             resid = y + evaluate_field(phi.displacement, y) - g.x
             assert np.max(np.abs(resid)) <= 1e-10
+
+    def test_nyquist_sawtooth_inverts_in_few_passes(self, monkeypatch):
+        # a sawtooth eps (-1)^j on a smooth displacement (min phi_x 0.2): Newton
+        # solves the interpolant with its own slope, Nyquist cosine included
+        g = make_grid(20, 256)
+        xi = 3 * np.pi / g.half_length
+        interpolant = diffeo._interpolant
+        passes = []
+
+        def counted(*args):
+            passes.append(args)
+            return interpolant(*args)
+
+        monkeypatch.setattr(diffeo, "_interpolant", counted)
+        for eps in (0.0, 1e-6, 1e-3, 1e-2):
+            disp = 0.8 / xi * np.sin(xi * g.x) + eps * (-1.0) ** np.arange(256)
+            phi = Diffeomorphism(g, Field(g, disp))
+            passes.clear()
+            y = invert(phi).positions()
+            assert len(passes) <= 10, (eps, len(passes))
+            resid = y + evaluate_field(phi.displacement, y) - g.x
+            assert np.max(np.abs(resid)) <= 1e-10, eps
 
     def test_non_increasing_samples_rejected(self):
         # the Nyquist sawtooth has spectral phi_x = 1, yet its samples decrease
