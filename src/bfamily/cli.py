@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import shutil
 import sys
 from contextlib import contextmanager, suppress
@@ -62,10 +63,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 # each formulation of solve: its solver, and the (file prefix, writer, part)
-# of each CSV one snapshot state is written to
+# of each CSV one snapshot state is written to; the solver is looked up in
+# this module when it runs, so a wrapper bound over it here is the one called
 _FORMULATIONS = {
-    "eulerian": (solve_eulerian, lambda u: [("u", write_field_csv, u)]),
-    "lagrangian": (solve_geodesic, lambda state: [
+    "eulerian": (lambda *run: solve_eulerian(*run), lambda u: [("u", write_field_csv, u)]),
+    "lagrangian": (lambda *run: solve_geodesic(*run), lambda state: [
         ("phi", write_diffeo_csv, state.phi), ("vel", write_field_csv, state.phit)]),
 }
 
@@ -84,14 +86,17 @@ def _write_snapshots(out: Path, traj, files) -> list:
 
 @contextmanager
 def _inputs(out: Path):
-    """Build and check a command's inputs, reporting a ValueError as a
-    ConfigError; create --out only once they are valid."""
+    """Build and check a command's inputs, a ValueError or a grid too large to
+    allocate being a ConfigError; then create --out, cleared of older artifacts."""
     try:
         yield
-    except ValueError as err:
+    except (ValueError, MemoryError) as err:
         raise ConfigError(str(err)) from err
     try:
         out.mkdir(parents=True, exist_ok=True)
+        for path in out.iterdir():  # --out holds this run's artifacts only
+            if re.fullmatch(r"manifest\.json|report\.csv|(u|phi|vel)_\d{6}\.csv", path.name):
+                path.unlink()
     except OSError as err:
         raise ConfigError(f"cannot create --out: {err}") from err
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffeo import Diffeomorphism, compose_field, invert
-from .dynamics import Trajectory, momentum, transported_momentum  # momentum: re-exported
+from .dynamics import Trajectory, transported_momentum
 from .spectral import Field, hs_norm
 
 

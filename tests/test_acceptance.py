@@ -20,7 +20,6 @@ from helpers import (
 from bfamily.cli import main as cli_main
 from bfamily.diagnostics import (
     conservation_residual,
-    momentum,
     pushforward_reconstruct,
 )
 from bfamily.dynamics import (
@@ -28,6 +27,7 @@ from bfamily.dynamics import (
     SolverConfig,
     eulerian_from_lagrangian,
     exp_map,
+    momentum,
     solve_eulerian,
     solve_geodesic,
 )

@@ -352,6 +352,33 @@ def test_witness_row_blowup_names_n_and_sequence(tmp_path):
     assert not (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize("formulation, solver", [
+    ("eulerian", "solve_eulerian"), ("lagrangian", "solve_geodesic"),
+])
+def test_solve_calls_the_solver_bound_in_cli(tmp_path, monkeypatch, formulation, solver):
+    # a tracer wraps each function where a module binds it: solve must call
+    # bfamily.cli's binding when it runs, not an object it kept at import
+    import bfamily.cli
+
+    calls = []
+
+    def counting(name):
+        run = getattr(bfamily.cli, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return run(*args)
+
+        return wrapper
+
+    for name in ("solve_eulerian", "solve_geodesic"):
+        monkeypatch.setattr(bfamily.cli, name, counting(name))
+    cfg = write_config(tmp_path, FAST_SOLVE)
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "o"), "--formulation", formulation]
+    assert run_cli("solve", *argv) == 0
+    assert calls == [solver]
+
+
 SWEEP_CFG = """
 sweep.command = solve
 sweep.b = 0,2,3
@@ -679,6 +706,13 @@ BAD_INPUTS = {
         "nonuniform",
         NONUNIFORM_CFG.replace("solver.dt = 0.005", "solver.dt = 1e-310"),
     ),
+    # the wavenumbers alone take 2**58 bytes, more than any address space
+    # holds, so the allocation fails at once and touches no memory
+    "grid-unallocatable": ("solve", FAST_SOLVE.replace("grid.N = 64", f"grid.N = {2**56}")),
+    "nonuniform-grid-unallocatable": (
+        "nonuniform",
+        NONUNIFORM_CFG.replace("grid.N = 512", f"grid.N = {2**56}"),
+    ),
 }
 
 
@@ -817,6 +851,42 @@ def test_sweep_cell_with_a_witness_bump_outside_exits_one(tmp_path):
     assert re.search(BUMP_OUTSIDE, err), err
     index = json.loads((out / "index.json").read_text())
     assert [(c["cell"], c["exit_code"]) for c in index["cells"]] == [("b2_N512", 1)]
+
+
+def test_unallocatable_sweep_cell_exits_one_and_the_sweep_goes_on(tmp_path):
+    text = SWEEP_CFG.replace("sweep.b = 0,2,3", "sweep.b = 2") + f"sweep.N = 64,{2**56}\n"
+    proc, out = run_fresh(tmp_path, "sweep", text)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+    index = json.loads((out / "index.json").read_text())
+    assert [(c["N"], c["exit_code"]) for c in index["cells"]] == [(64, 0), (2**56, 1)]
+
+
+def test_out_holds_only_this_runs_snapshots(tmp_path):
+    # the T = 0.2 run's phi_000003.csv and phi_000004.csv are not the T = 0.1
+    # run's, and its last phi_*.csv must be the T = 0.1 flow; other files stay
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    for T in ("0.2", "0.1"):
+        cfg = write_config(tmp_path, FAST_SOLVE.replace("solver.T = 0.1", f"solver.T = {T}"))
+        argv = ["--config", str(cfg), "--out", str(out), "--formulation", "lagrangian"]
+        assert run_cli("solve", *argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = {name for entry in manifest["snapshots"] for name in entry["files"]}
+    assert {p.name for p in out.iterdir()} == {"manifest.json", "notes.txt"} | listed
+
+
+def test_blowup_rerun_leaves_no_earlier_report(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, NONUNIFORM_CFG)
+    assert run_cli("nonuniform", "--config", str(cfg), "--out", str(out)) == 0
+    assert (out / "report.csv").exists()
+    cfg = write_config(tmp_path, NONUNIFORM_CFG + "solver.norm_cap = 2\n")
+    assert run_cli("nonuniform", "--config", str(cfg), "--out", str(out)) == 2
+    assert "blowup" in json.loads((out / "manifest.json").read_text())
+    assert not (out / "report.csv").exists()
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])

@@ -7,7 +7,6 @@ from helpers import disjoint_support_ratio, helmholtz_inverse
 
 from bfamily.diagnostics import (
     conservation_residual,
-    momentum,
     pushforward_reconstruct,
 )
 from bfamily.diffeo import Diffeomorphism, compose_field, identity
@@ -16,6 +15,7 @@ from bfamily.dynamics import (
     SolverConfig,
     SprayState,
     eulerian_from_lagrangian,
+    momentum,
     solve_eulerian,
     solve_geodesic,
     transported_momentum,

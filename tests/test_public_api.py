@@ -1,5 +1,6 @@
 """Every public function and method of the package has a caller in the package,
-and its classes define no special method beyond the protocol it uses."""
+its classes define no special method beyond the protocol it uses, and each
+module uses every name it imports, so no module re-exports another's names."""
 
 import ast
 from collections import Counter
@@ -93,3 +94,25 @@ def test_classes_define_only_the_protocol_dunders_the_package_uses():
         if name.startswith("__") and name.endswith("__") and name not in PROTOCOL
     )
     assert not extra, f"dunders outside the protocol the package uses: {extra}"
+
+
+def imported_names(tree) -> list:
+    """Names the import statements of a module bind; `from __future__` binds none."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.extend(a.asname or a.name for a in node.names)
+    return names
+
+
+def test_every_imported_name_is_used_where_it_is_imported():
+    # a name imported only to be passed on gives it a second home: callers
+    # import each name from the module that defines it
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in imported_names(tree) if name not in used]
+    assert not unused, f"imported names their module never uses: {unused}"
