@@ -32,7 +32,7 @@ from .errors import (
     DegenerateProbeError,
     ExpDomainError,
 )
-from .experiments import nonuniformity_experiment, parallel_map
+from .experiments import flow_solver, nonuniformity_experiment, parallel_map
 from .io import (
     write_conservation_csv,
     write_diffeo_csv,
@@ -157,14 +157,17 @@ def run_conserve(cfg: RunConfig, out: Path, options):
 def run_nonuniform(cfg: RunConfig, out: Path, options):
     with _inputs(out):
         experiment = cfg.build_experiment(cfg.build_grid())
+    flow_dt = flow_solver(experiment.solver).dt  # solver.dt is the Eulerian legs' step
     try:
         report = nonuniformity_experiment(experiment, jobs=options.jobs)
     except ExpDomainError as err:
         _say(f"blow-up: {err}")
-        return EXIT_BLOWUP, experiment.params, experiment.solver, {"blowup": str(err)}
+        fields = {"blowup": str(err), "flow_dt": flow_dt}
+        return EXIT_BLOWUP, experiment.params, experiment.solver, fields
     write_experiment_csv(out / "report.csv", report)
     persistent = report.separation_persistence_ok()
     fields = {
+        "flow_dt": flow_dt,
         "m_est": report.m_est,
         "x0_est": report.x0_est,
         "L_est": report.L_est,

@@ -5,12 +5,13 @@ exponential map is largest), then build shrinking-support bumps w_n with
 fixed Sobolev norm around that point.  The data pairs x_n = u0 + w_n and
 x_n + v/n converge to each other in H^s while their time-one flows stay
 separated pointwise, which pins the transported bump momenta on disjoint
-intervals.
+intervals.  The flows, an ODE on the diffeomorphism group, step at
+max(solver.dt, FLOW_DT); the Eulerian time-one maps keep solver.dt.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -24,6 +25,7 @@ from .spectral import Field, Grid, hs_norm
 
 RESOLUTION_FACTOR = 4  # bump radius must exceed this many grid spacings
 PERSISTENCE_FLOOR = 0.1  # output separation may not fall below this share of its first value
+FLOW_DT = 1 / 64  # accuracy, not the advective bound, limits a flow step; 64 reach T = 1
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,12 @@ def build_bump(
     return (target_norm / hs_norm(raw, s)) * raw
 
 
+def flow_solver(solver: SolverConfig) -> SolverConfig:
+    """solver for the witness's flows: step max(dt, FLOW_DT) to T = 1, set
+    here too because replace re-checks dt <= T."""
+    return replace(solver, dt=max(solver.dt, FLOW_DT), T=1.0)
+
+
 def estimate_probe_geometry(cfg: NonUniformityConfig):
     """Numerical stand-ins for the proof constants.
 
@@ -109,7 +117,7 @@ def estimate_probe_geometry(cfg: NonUniformityConfig):
     largest, the normalized differential there, and 1.5 times the steepest
     slope of exp(u0) as a Lipschitz constant.
     """
-    phi, d = exp_and_differential(cfg.u0, cfg.v, cfg.params, cfg.solver)
+    phi, d = exp_and_differential(cfg.u0, cfg.v, cfg.params, flow_solver(cfg.solver))
     i0 = int(np.argmax(np.abs(d.values)))
     m_est = float(np.abs(d.values[i0])) / hs_norm(cfg.v, cfg.params.s)
     if m_est < 1e-12:
@@ -132,7 +140,7 @@ def _resolved_row(payload) -> ExperimentRow:
         """x's time-one map, its flow and its momentum pushed forward along the flow."""
         try:
             u = time_one_map(x, cfg.params, cfg.solver)
-            phi = exp_map(x, cfg.params, cfg.solver)
+            phi = exp_map(x, cfg.params, flow_solver(cfg.solver))
         except (ExpDomainError, SolverError) as err:
             raise ExpDomainError(f"n = {n}, {label} sequence: {err}") from err
         return u, phi, pushforward_reconstruct(momentum(x), phi, cfg.params.b)

@@ -583,12 +583,13 @@ MANIFEST_RUNS = {
         .replace("solver.T = 1", "solver.T = 0.5"),
         3,
         "nonuniform",
-        {"m_est", "x0_est", "L_est", "resolved_n", "separation_persistent"},
+        {"flow_dt", "m_est", "x0_est", "L_est", "resolved_n", "separation_persistent"},
     ),
-    # the probe geometry's march of the flow of u0 ends at the phi_x guard
+    # the probe geometry's march of the flow of u0 ends at the phi_x guard,
+    # after its first step of flow_dt = 1/64
     "nonuniform-blowup": (
         ["nonuniform"], NONUNIFORM_CFG + "solver.min_phix = 0.999\n", 2, "nonuniform",
-        {"blowup"},
+        {"blowup", "flow_dt"},
     ),
     "sweep-cell": (
         ["sweep"], FAST_SOLVE + "sweep.command = conserve\n", 0, "conserve",
@@ -615,10 +616,11 @@ def test_every_manifest_carries_the_base_keys(tmp_path, case):
     assert manifest["solver"]["dt"] == (0.005 if command == "nonuniform" else 0.01)
     if command == "nonuniform":  # it marches time-one maps, not to solver.T
         assert manifest["solver"]["T"] == 1.0
+        assert manifest["flow_dt"] == 1 / 64  # the flows' step, not solver.dt
     if "termination" in fields:
         assert manifest["termination"] == ("completed" if code == 0 else "blowup_phix")
     if "blowup" in fields:
-        assert manifest["blowup"].endswith("(blowup_phix at t = 0.015)")
+        assert manifest["blowup"].endswith("(blowup_phix at t = 0.015625)")
 
 
 @pytest.mark.parametrize("command", ["solve", "conserve"])

@@ -1,14 +1,17 @@
 """Tests for the bump construction and the non-uniformity experiment."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from helpers import central_dexp, record_pools, scaling_check
 
+from bfamily import experiments
 from bfamily.dynamics import BParams, SolverConfig, solve_eulerian, time_one_map
 from bfamily.errors import DegenerateProbeError, ExpDomainError, UnderResolvedError
 from bfamily.experiments import (
+    FLOW_DT,
     ExperimentRow,
     NonUniformityConfig,
     build_bump,
@@ -226,6 +229,56 @@ class TestNonUniformityExperiment:
         assert (parallel.m_est, parallel.x0_est, parallel.L_est) == (
             serial.m_est, serial.x0_est, serial.L_est
         )
+
+
+def test_flow_step_time_error_is_far_below_the_witness(monkeypatch):
+    # criterion-07 data at N = 512, row n = 1, with the flows at FLOW_DT and
+    # at FLOW_DT / 4; solver.dt = FLOW_DT / 4 lets the finer step take over
+    # (measured: 1.4e-8 relative in witness_gap, 1.1e-12 in m_est)
+    cfg = small_experiment_config(n_values=(1,))
+    cfg = replace(cfg, solver=replace(cfg.solver, dt=FLOW_DT / 4))
+    coarse = nonuniformity_experiment(cfg)
+    monkeypatch.setattr("bfamily.experiments.FLOW_DT", FLOW_DT / 4)
+    fine = nonuniformity_experiment(cfg)
+    assert coarse.rows[0].resolved_ok and fine.rows[0].resolved_ok
+    assert fine.rows[0].witness_gap == pytest.approx(coarse.rows[0].witness_gap, rel=1e-6)
+    assert fine.m_est == pytest.approx(coarse.m_est, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "dt, T, n, rows", [(5e-3, 1.0, 1, 1), (1e-3, 0.01, 1, 1), (0.05, 1.0, 16, 0)]
+)
+def test_flows_step_at_flow_dt_and_eulerian_legs_at_solver_dt(monkeypatch, dt, T, n, rows):
+    # spies on the three marches as experiments sees them; every flow steps
+    # at max(dt, FLOW_DT) to T = 1, and the Eulerian legs get solver as given
+    # (n = 16 is under-resolved at N = 512: only the probe geometry marches)
+    seen = []
+
+    def spy(name):
+        real = getattr(experiments, name)
+
+        def wrapper(*args):
+            seen.append((name, args[-1]))
+            return real(*args)
+
+        return wrapper
+
+    for name in ("exp_and_differential", "exp_map", "time_one_map"):
+        monkeypatch.setattr(f"bfamily.experiments.{name}", spy(name))
+    solver = SolverConfig(dt=dt, T=T, snapshot_stride=10**9)
+    if FLOW_DT > T:  # a step past T is refused unless T is set with it
+        with pytest.raises(ValueError):
+            replace(solver, dt=FLOW_DT)
+    cfg = replace(small_experiment_config(n_values=(n,)), solver=solver)
+    nonuniformity_experiment(cfg)
+
+    marches = ["exp_and_differential"] + ["time_one_map", "exp_map"] * 2 * rows
+    assert [name for name, _ in seen] == marches
+    for name, config in seen:
+        if name == "time_one_map":
+            assert config is solver
+        else:
+            assert (config.dt, config.T) == (max(dt, FLOW_DT), 1.0)
 
 
 @pytest.mark.parametrize("jobs, pool", [(64, [3]), (2, [2]), (1, [])])
