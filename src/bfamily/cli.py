@@ -101,13 +101,13 @@ def _inputs(out: Path):
         raise ConfigError(f"cannot create --out: {err}") from err
 
 
-def _setup(cfg: RunConfig, out: Path):
-    """Build the datum, params and solver, then create --out."""
+def _setup(cfg: RunConfig, out: Path, geodesic: bool):
+    """Build the datum, params and solver (a flow march's if geodesic), then create --out."""
     with _inputs(out):
         grid = cfg.build_grid()
         u0 = cfg.build_field(grid)
         params = cfg.build_params()
-        solver = cfg.build_solver(u0)
+        solver = cfg.build_solver(u0, geodesic)
     return u0, params, solver
 
 
@@ -126,7 +126,7 @@ def _termination_code(traj) -> int:
 
 def run_solve(cfg: RunConfig, out: Path, options):
     formulation = options.formulation  # the parser's choices: _FORMULATIONS
-    u0, params, solver = _setup(cfg, out)
+    u0, params, solver = _setup(cfg, out, geodesic=formulation == "lagrangian")
     solve, files = _FORMULATIONS[formulation]
     traj = solve(u0, params, solver)
     fields = {
@@ -139,7 +139,7 @@ def run_solve(cfg: RunConfig, out: Path, options):
 
 
 def run_conserve(cfg: RunConfig, out: Path, options):
-    u0, params, solver = _setup(cfg, out)
+    u0, params, solver = _setup(cfg, out, geodesic=True)
     traj = solve_geodesic(u0, params, solver)
     report = conservation_residual(traj)
     write_conservation_csv(out / "report.csv", report)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import BParams, SolverConfig, default_dt
+from .dynamics import BParams, SolverConfig, default_dt, geodesic_dt
 from .errors import ConfigError
 from .experiments import NonUniformityConfig, build_bump
 from .spectral import Field, Grid, make_grid
@@ -28,7 +28,7 @@ _COMMON_KEYS = {
     "grid.N": ("int", 1024),
     "params.b": ("float", 2.0),
     "params.s": ("float", 2.0),
-    "solver.dt": ("float", None),  # None -> advective default from the datum
+    "solver.dt": ("float", None),  # None -> geodesic_dt for a flow march, else default_dt
     "solver.T": ("float", 1.0),
     "solver.stride": ("int", 100),
     "solver.norm_cap": ("float", 1e6),
@@ -198,12 +198,14 @@ class RunConfig:
             return field
         raise ConfigError(f"unknown family '{family}'")
 
-    def build_solver(self, u0: Field) -> SolverConfig:
-        # the horizon marched (nonuniform marches time-one maps) caps a derived dt
+    def build_solver(self, u0: Field, geodesic: bool = False) -> SolverConfig:
+        # a derived dt takes the flow's rule in a geodesic march, and the
+        # horizon marched (nonuniform marches time-one maps) caps it
         T = 1.0 if self.command == "nonuniform" else self["solver.T"]
         dt = self["solver.dt"]
+        rule = geodesic_dt if geodesic else default_dt
         return SolverConfig(
-            dt=min(default_dt(u0), T) if dt is None else dt,
+            dt=min(rule(u0), T) if dt is None else dt,
             T=T,
             snapshot_stride=self["solver.stride"],
             blowup_norm_cap=self["solver.norm_cap"],

@@ -124,11 +124,22 @@ class Trajectory:
 
 
 def default_dt(u0: Field) -> float:
-    """min(1e-3, 0.5 h / max|u0|), the advective step-size heuristic."""
+    """min(1e-3, 0.5 h / max|u0|): the Eulerian rule, an advective bound."""
     peak = float(np.max(np.abs(u0.values)))
     if peak == 0.0:
         return 1e-3
     return min(1e-3, 0.5 * u0.grid.spacing / peak)
+
+
+def geodesic_dt(u0: Field) -> float:
+    """max(default_dt, min(1/256, 1e-3 / max|u0_x|)): the flow march's rule.
+
+    The flow is a smooth ODE on the diffeomorphism group, so accuracy, not the
+    advective bound, limits its step; at dt max|u0_x| <= 1e-3 the time error
+    stays below the Christoffel solve's floor.
+    """
+    slope = float(np.max(np.abs(derivative(u0, 1).values)))  # FieldError if not finite
+    return max(default_dt(u0), min(1 / 256, 1e-3 / slope) if slope else 1 / 256)
 
 
 def _eulerian_rhs(grid: Grid, b: float):

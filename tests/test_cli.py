@@ -15,7 +15,7 @@ from helpers import FAST_SOLVE, check_golden, read_diffeo_csv, record_pools, tre
 
 from bfamily.cli import build_parser, main
 from bfamily.config import parse_config
-from bfamily.dynamics import exp_map, solve_geodesic
+from bfamily.dynamics import default_dt, exp_map, solve_geodesic
 from bfamily.errors import ConfigError
 from bfamily.io import read_experiment_rows, read_field_csv
 
@@ -154,23 +154,27 @@ class TestSolve:
         assert run_cli("solve", *argv) == 2
         run = parse_config(text, "solve")
         u0 = run.build_field(run.build_grid())
-        traj = solve_geodesic(u0, run.build_params(), run.build_solver(u0))
+        traj = solve_geodesic(u0, run.build_params(), run.build_solver(u0, geodesic=True))
         assert traj.ending == "blowup_phix at t = 0.01"
         assert capsys.readouterr().err == f"blow-up: {traj.ending}\n"
 
     def test_last_lagrangian_snapshot_at_t_one_is_exp(self, tmp_path):
-        # exp_v(1) is the last phi_*.csv of a Lagrangian solve to solver.T = 1
-        text = FAST_SOLVE.replace("solver.T = 0.1", "solver.T = 1")
-        out = tmp_path / "out"
-        argv = ["--config", str(write_config(tmp_path, text)), "--out", str(out)]
-        assert run_cli("solve", *argv, "--formulation", "lagrangian") == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["times"][-1] == 1.0
-        last = read_diffeo_csv(out / manifest["snapshots"][-1]["files"][0])
-        run = parse_config(text, "solve")
-        u0 = run.build_field(run.build_grid())
-        phi = exp_map(u0, run.build_params(), run.build_solver(u0))
-        assert last.displacement.values.tobytes() == phi.displacement.values.tobytes()
+        # exp_v(1) is the last phi_*.csv of a Lagrangian solve to solver.T = 1,
+        # at a given solver.dt and at the geodesic default (1/256 here)
+        given = FAST_SOLVE.replace("solver.T = 0.1", "solver.T = 1")
+        derived = given.replace("solver.dt = 0.01\n", "")
+        for name, text in (("given", given), ("derived", derived)):
+            out = tmp_path / name
+            argv = ["--config", str(write_config(tmp_path, text)), "--out", str(out)]
+            assert run_cli("solve", *argv, "--formulation", "lagrangian") == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["times"][-1] == 1.0
+            assert manifest["solver"]["dt"] == (0.01 if name == "given" else 1 / 256)
+            last = read_diffeo_csv(out / manifest["snapshots"][-1]["files"][0])
+            run = parse_config(text, "solve")
+            u0 = run.build_field(run.build_grid())
+            phi = exp_map(u0, run.build_params(), run.build_solver(u0, geodesic=True))
+            assert last.displacement.values.tobytes() == phi.displacement.values.tobytes()
 
     def test_lagrangian_snapshots(self, tmp_path):
         cfg = write_config(tmp_path, FAST_SOLVE)
@@ -623,14 +627,51 @@ def test_every_manifest_carries_the_base_keys(tmp_path, case):
         assert manifest["blowup"].endswith("(blowup_phix at t = 0.015625)")
 
 
-@pytest.mark.parametrize("command", ["solve", "conserve"])
+DERIVED_DT_RUNS = {
+    "solve": ["solve"],
+    "solve-lagrangian": ["solve", "--formulation", "lagrangian"],
+    "conserve": ["conserve"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DERIVED_DT_RUNS))
 def test_derived_dt_is_capped_at_the_marched_horizon(tmp_path, command):
-    # no solver.dt, and solver.T below the derived step 1e-3
+    # no solver.dt, and solver.T below either rule's derived step
     text = FAST_SOLVE.replace("solver.dt = 0.01\n", "").replace("solver.T = 0.1", "solver.T = 1e-4")
     out = tmp_path / "out"
-    assert run_cli(command, "--config", str(write_config(tmp_path, text)), "--out", str(out)) == 0
+    argv = DERIVED_DT_RUNS[command]
+    cfg = write_config(tmp_path, text)
+    assert run_cli(argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]) == 0
     solver = json.loads((out / "manifest.json").read_text())["solver"]
     assert solver["T"] == solver["dt"] == 1e-4
+
+
+def test_derived_dt_follows_the_march(tmp_path):
+    # one datum without solver.dt: the flow marches derive geodesic_dt (1/256
+    # here), and the Eulerian ones, nonuniform's legs among them, default_dt
+    text = NONUNIFORM_CFG.replace("solver.dt = 0.005\n", "").replace(
+        "experiment.n_values = 1,16", "experiment.n_values = 16"  # under-resolved: no rows
+    )
+    datum = "".join(
+        line + "\n" for line in text.splitlines() if not line.startswith(("probe.", "experiment."))
+    )
+    run = parse_config(datum, "solve")
+    eulerian_dt = default_dt(run.build_field(run.build_grid()))
+    assert eulerian_dt == 1e-3
+    runs = [
+        (["conserve"], datum, 0, 1 / 256),
+        (["solve", "--formulation", "lagrangian"], datum, 0, 1 / 256),
+        (["solve"], datum, 0, eulerian_dt),
+        (["nonuniform"], text, 3, eulerian_dt),
+    ]
+    for i, (argv, config, code, dt) in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        cfg = write_config(tmp_path, config)
+        assert run_cli(argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]) == code
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["solver"]["dt"] == dt
+        if argv[0] == "nonuniform":
+            assert manifest["flow_dt"] == 1 / 64
 
 
 def _bump(center, radius, n):
@@ -691,6 +732,13 @@ BAD_INPUTS = {
         SWEEP_CFG.replace("sweep.command = solve", "sweep.command = exp"),
     ),
     "non-utf8-config": ("solve", b"grid.N = 64\n\xff\xfe\n"),
+    # the datum is finite, but its slope overflows, so no flow step derives from it
+    "conserve-slope-overflows": (
+        "conserve",
+        FAST_SOLVE.replace("solver.dt = 0.01\n", "").replace(
+            "initial.amp = 0.3", "initial.amp = 1e308"
+        ),
+    ),
     # T / dt overflows to inf: no step count, so no march
     "step-count-overflows": (
         "solve",

@@ -12,6 +12,7 @@ from helpers import (
     rhs_eulerian,
 )
 
+from bfamily.diagnostics import conservation_residual
 from bfamily.diffeo import Diffeomorphism, identity
 from bfamily.dynamics import (
     BLOWUP_NORM,
@@ -24,10 +25,11 @@ from bfamily.dynamics import (
     eulerian_from_lagrangian,
     exp_and_differential,
     exp_map,
+    geodesic_dt,
     solve_eulerian,
     solve_geodesic,
 )
-from bfamily.errors import ExpDomainError, PositivityError, SolverError
+from bfamily.errors import ExpDomainError, FieldError, PositivityError, SolverError
 from bfamily.spectral import Field, derivative, hs_norm, make_grid
 
 S = 2.0
@@ -79,6 +81,50 @@ class TestParams:
         assert default_dt(Field.zeros(g)) == 1e-3
         spiky = Field(g, 100.0 * np.exp(-(g.x**2)))
         assert default_dt(spiky) == pytest.approx(0.5 * g.spacing / 100.0)
+
+    def test_geodesic_dt_of_a_zero_datum_is_the_flow_cap(self):
+        assert geodesic_dt(Field.zeros(make_grid(20, 1024))) == 1 / 256
+
+    @pytest.mark.parametrize(
+        "amp, want",
+        [
+            (0.5, lambda u0, slope: 1 / 256),  # the bench datum: 1e-3 / slope = 4.7e-3
+            (2.0, lambda u0, slope: 1e-3 / slope),  # 1.17e-3, above default_dt = 1e-3
+            (4.0, lambda u0, slope: default_dt(u0)),  # 1e-3 / slope = 5.8e-4
+            (1e19, lambda u0, slope: default_dt(u0)),
+        ],
+    )
+    def test_geodesic_dt_keeps_dt_slope_at_most_1e_3_and_never_below_default_dt(
+        self, amp, want
+    ):
+        u0 = gaussian_field(make_grid(20, 1024), amp=amp, width=2.0)
+        slope = np.max(np.abs(derivative(u0, 1).values))
+        assert geodesic_dt(u0) == want(u0, slope)
+        assert geodesic_dt(u0) >= default_dt(u0)
+
+    def test_geodesic_dt_refuses_a_slope_that_is_not_finite(self):
+        # the datum is finite, but its transform overflows
+        u0 = gaussian_field(make_grid(20, 64), amp=1e308, width=2.0)
+        with np.errstate(all="ignore"), pytest.raises(FieldError):
+            geodesic_dt(u0)
+
+
+@pytest.mark.parametrize("amp", [0.5, 2.0])
+def test_geodesic_dt_time_error_stays_at_the_solve_floor(amp):
+    # conserve's datum (amp 0.5) and a steeper one at N = 512, the cheapest
+    # grid that resolves both, marched as conserve marches them; the residual
+    # at geodesic_dt stays within 2x that of dt = 1e-3 (measured 3.6e-13 vs
+    # 4.1e-13 and 5.6e-13 vs 5.5e-13), while a step of 1/64 reaches 2.7e-12
+    # and 1.4e-9
+    u0 = gaussian_field(make_grid(20, 512), amp=amp, width=2.0)
+
+    def residual(dt):
+        config = SolverConfig(dt=dt, T=1.0, snapshot_stride=100)
+        traj = solve_geodesic(u0, BParams(b=2.0, s=S), config)
+        assert traj.termination == COMPLETED
+        return conservation_residual(traj).max_residual
+
+    assert residual(geodesic_dt(u0)) <= 2.0 * residual(1e-3)
 
 
 class TestRhsEulerian:
