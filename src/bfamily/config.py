@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import BParams, SolverConfig, default_dt, geodesic_dt
-from .errors import ConfigError
+from .dynamics import BParams, SolverConfig, march_dt
+from .errors import ConfigError, FieldError
 from .experiments import NonUniformityConfig, build_bump
 from .spectral import Field, Grid, make_grid
 
@@ -28,7 +28,7 @@ _COMMON_KEYS = {
     "grid.N": ("int", 1024),
     "params.b": ("float", 2.0),
     "params.s": ("float", 2.0),
-    "solver.dt": ("float", None),  # None -> geodesic_dt for a flow march, else default_dt
+    "solver.dt": ("float", None),  # None -> march_dt of the march's datum, capped at T
     "solver.T": ("float", 1.0),
     "solver.stride": ("int", 100),
     "solver.norm_cap": ("float", 1e6),
@@ -198,14 +198,22 @@ class RunConfig:
             return field
         raise ConfigError(f"unknown family '{family}'")
 
-    def build_solver(self, u0: Field, geodesic: bool = False) -> SolverConfig:
-        # a derived dt takes the flow's rule in a geodesic march, and the
-        # horizon marched (nonuniform marches time-one maps) caps it
+    def build_solver(self, u0: Field, geodesic: bool = False, probe=None) -> SolverConfig:
+        # a derived dt is march_dt of the datum marched from (u0 + the probe Field in
+        # nonuniform's n = 1 legs), capped at the horizon (nonuniform marches time-one maps)
         T = 1.0 if self.command == "nonuniform" else self["solver.T"]
         dt = self["solver.dt"]
-        rule = geodesic_dt if geodesic else default_dt
+        if dt is None:
+            try:  # u0 alone first, so that an overflow names its key
+                dt = march_dt(u0, not geodesic)
+                if probe is not None:
+                    dt = march_dt(u0 + probe, not geodesic)
+            except FieldError as err:
+                key = "initial" if dt is None else "probe"
+                raise ConfigError(f"{key}.*: the datum's peak or slope is not finite") from err
+            dt = min(dt, T)
         return SolverConfig(
-            dt=min(rule(u0), T) if dt is None else dt,
+            dt=dt,
             T=T,
             snapshot_stride=self["solver.stride"],
             blowup_norm_cap=self["solver.norm_cap"],
@@ -225,7 +233,7 @@ class RunConfig:
             params=self.build_params(),
             R=self["experiment.R"],
             n_values=self["experiment.n_values"],
-            solver=self.build_solver(u0),
+            solver=self.build_solver(u0, probe=v),
         )
 
 

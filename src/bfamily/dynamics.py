@@ -124,22 +124,24 @@ class Trajectory:
 
 
 def default_dt(u0: Field) -> float:
-    """min(1e-3, 0.5 h / max|u0|): the Eulerian rule, an advective bound."""
+    """min(1e-3, 0.5 h / max|u0|): march_dt's floor, so no derived step is smaller."""
     peak = float(np.max(np.abs(u0.values)))
     if peak == 0.0:
         return 1e-3
     return min(1e-3, 0.5 * u0.grid.spacing / peak)
 
 
-def geodesic_dt(u0: Field) -> float:
-    """max(default_dt, min(1/256, 1e-3 / max|u0_x|)): the flow march's rule.
+def march_dt(u0: Field, eulerian: bool) -> float:
+    """max(default_dt, min(1/256, 1e-3 / max|u0_x|, 0.5 h / max|u0| if eulerian)).
 
-    The flow is a smooth ODE on the diffeomorphism group, so accuracy, not the
-    advective bound, limits its step; at dt max|u0_x| <= 1e-3 the time error
-    stays below the Christoffel solve's floor.
+    The flow is a smooth ODE, so accuracy limits a step: dt max|u0_x| <= 1e-3 holds
+    the time error near that of dt = 1e-3.  The advective term keeps an Eulerian
+    march's t = 0 RK4 stability number dt xi_cut max|u0| at most pi/3.
     """
+    peak = float(np.max(np.abs(u0.values)))
     slope = float(np.max(np.abs(derivative(u0, 1).values)))  # FieldError if not finite
-    return max(default_dt(u0), min(1 / 256, 1e-3 / slope) if slope else 1 / 256)
+    advective = 0.5 * u0.grid.spacing / peak if eulerian and peak else math.inf
+    return max(default_dt(u0), min(1 / 256, 1e-3 / slope if slope else math.inf, advective))
 
 
 def _eulerian_rhs(grid: Grid, b: float):

@@ -15,9 +15,10 @@ from helpers import FAST_SOLVE, check_golden, read_diffeo_csv, record_pools, tre
 
 from bfamily.cli import build_parser, main
 from bfamily.config import parse_config
-from bfamily.dynamics import default_dt, exp_map, solve_geodesic
+from bfamily.dynamics import exp_map, march_dt, solve_geodesic
 from bfamily.errors import ConfigError
 from bfamily.io import read_experiment_rows, read_field_csv
+from bfamily.spectral import derivative
 
 
 def run_cli(*argv) -> int:
@@ -647,22 +648,38 @@ def test_derived_dt_is_capped_at_the_marched_horizon(tmp_path, command):
 
 
 def test_derived_dt_follows_the_march(tmp_path):
-    # one datum without solver.dt: the flow marches derive geodesic_dt (1/256
-    # here), and the Eulerian ones, nonuniform's legs among them, default_dt
+    # one datum without solver.dt: each march derives march_dt of the datum it
+    # starts from, 1/256 for u0 whether Eulerian or not; nonuniform's Eulerian
+    # legs start from u0 + v at n = 1, whose slope bounds theirs, and its flows
+    # keep flow_dt
     text = NONUNIFORM_CFG.replace("solver.dt = 0.005\n", "").replace(
         "experiment.n_values = 1,16", "experiment.n_values = 16"  # under-resolved: no rows
     )
     datum = "".join(
         line + "\n" for line in text.splitlines() if not line.startswith(("probe.", "experiment."))
     )
-    run = parse_config(datum, "solve")
-    eulerian_dt = default_dt(run.build_field(run.build_grid()))
-    assert eulerian_dt == 1e-3
+    run = parse_config(text, "nonuniform")
+    grid = run.build_grid()
+    legs_dt = march_dt(run.build_field(grid) + run.build_field(grid, "probe"), eulerian=True)
+    assert legs_dt == pytest.approx(1.2146e-3, rel=1e-4)
+    # a wave on which the advective term binds the Eulerian march alone:
+    # 0.5 h / max|u0| = 2.44e-3 there, against 1e-3 / max|u0_x| = 3.18e-3
+    kept = [line for line in FAST_SOLVE.splitlines()
+            if not line.startswith(("grid.N", "solver.dt", "solver.T", "initial."))]
+    wave = "\n".join(kept + [
+        "grid.N = 4096", "solver.T = 0.01", "initial.family = mode", "initial.k = 1",
+        "initial.amp = 2",
+    ])
+    run = parse_config(wave, "solve")
+    u0 = run.build_field(run.build_grid())
     runs = [
         (["conserve"], datum, 0, 1 / 256),
         (["solve", "--formulation", "lagrangian"], datum, 0, 1 / 256),
-        (["solve"], datum, 0, eulerian_dt),
-        (["nonuniform"], text, 3, eulerian_dt),
+        (["solve"], datum, 0, 1 / 256),
+        (["nonuniform"], text, 3, legs_dt),
+        (["solve"], wave, 0, 0.5 * u0.grid.spacing / np.max(np.abs(u0.values))),
+        (["solve", "--formulation", "lagrangian"], wave, 0,
+         1e-3 / np.max(np.abs(derivative(u0, 1).values))),
     ]
     for i, (argv, config, code, dt) in enumerate(runs):
         out = tmp_path / f"out{i}"
@@ -672,6 +689,32 @@ def test_derived_dt_follows_the_march(tmp_path):
         assert manifest["solver"]["dt"] == dt
         if argv[0] == "nonuniform":
             assert manifest["flow_dt"] == 1 / 64
+
+
+# no solver.dt, so the step derives from a finite datum whose slope overflows
+# the transform; the config error names the datum's keys, before --out exists
+OVERFLOWING_DATA = {
+    "solve": ("solve", FAST_SOLVE.replace("solver.dt = 0.01\n", ""), "initial.amp"),
+    "conserve": ("conserve", FAST_SOLVE.replace("solver.dt = 0.01\n", ""), "initial.amp"),
+    "nonuniform-initial": (
+        "nonuniform", NONUNIFORM_CFG.replace("solver.dt = 0.005\n", ""), "initial.amp"
+    ),
+    "nonuniform-probe": (
+        "nonuniform", NONUNIFORM_CFG.replace("solver.dt = 0.005\n", ""), "probe.amp"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_DATA))
+def test_overflowing_datum_exits_one_naming_its_key(tmp_path, capsys, case):
+    command, text, key = OVERFLOWING_DATA[case]
+    text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = 1e308", text, flags=re.M)
+    cfg, out = write_config(tmp_path, text), tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    prefix = key.split(".")[0]
+    assert err == f"config error: {prefix}.*: the datum's peak or slope is not finite\n"
+    assert not out.exists()
 
 
 def _bump(center, radius, n):

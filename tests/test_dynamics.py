@@ -25,7 +25,7 @@ from bfamily.dynamics import (
     eulerian_from_lagrangian,
     exp_and_differential,
     exp_map,
-    geodesic_dt,
+    march_dt,
     solve_eulerian,
     solve_geodesic,
 )
@@ -82,40 +82,54 @@ class TestParams:
         spiky = Field(g, 100.0 * np.exp(-(g.x**2)))
         assert default_dt(spiky) == pytest.approx(0.5 * g.spacing / 100.0)
 
-    def test_geodesic_dt_of_a_zero_datum_is_the_flow_cap(self):
-        assert geodesic_dt(Field.zeros(make_grid(20, 1024))) == 1 / 256
+    @pytest.mark.parametrize("eulerian", [False, True])
+    def test_march_dt_of_a_zero_datum_is_the_flow_cap(self, eulerian):
+        assert march_dt(Field.zeros(make_grid(20, 1024)), eulerian) == 1 / 256
 
+    @pytest.mark.parametrize("eulerian", [False, True])
     @pytest.mark.parametrize(
-        "amp, want",
+        "n, amp, offset, want",
         [
-            (0.5, lambda u0, slope: 1 / 256),  # the bench datum: 1e-3 / slope = 4.7e-3
-            (2.0, lambda u0, slope: 1e-3 / slope),  # 1.17e-3, above default_dt = 1e-3
-            (4.0, lambda u0, slope: default_dt(u0)),  # 1e-3 / slope = 5.8e-4
-            (1e19, lambda u0, slope: default_dt(u0)),
+            # the eulerian bench datum: 1e-3 / slope = 4.7e-3, 0.5 h / max|u0| = 2.0e-2
+            (2048, 0.5, 0.0, lambda u0, slope, eulerian: 1 / 256),
+            (1024, 2.0, 0.0, lambda u0, slope, eulerian: 1e-3 / slope),  # 1.17e-3
+            # the bench bump on a constant 10: 0.5 h / max|u0| = 1.86e-3 binds only
+            # the Eulerian march, whose t = 0 stability number is then at its bound
+            (1024, 0.5, 10.0, lambda u0, slope, eulerian: (
+                0.5 * u0.grid.spacing / np.max(np.abs(u0.values)) if eulerian else 1 / 256)),
+            (1024, 4.0, 0.0, lambda u0, slope, eulerian: default_dt(u0)),  # 1e-3 / slope = 5.8e-4
+            (1024, 1e19, 0.0, lambda u0, slope, eulerian: default_dt(u0)),
         ],
+        ids=["bench-datum", "amp-2", "offset-10", "amp-4", "amp-1e19"],
     )
-    def test_geodesic_dt_keeps_dt_slope_at_most_1e_3_and_never_below_default_dt(
-        self, amp, want
+    def test_march_dt_keeps_dt_slope_at_most_1e_3_and_never_below_default_dt(
+        self, n, amp, offset, want, eulerian
     ):
-        u0 = gaussian_field(make_grid(20, 1024), amp=amp, width=2.0)
+        grid = make_grid(20, n)
+        u0 = Field(grid, offset + gaussian_field(grid, amp=amp, width=2.0).values)
         slope = np.max(np.abs(derivative(u0, 1).values))
-        assert geodesic_dt(u0) == want(u0, slope)
-        assert geodesic_dt(u0) >= default_dt(u0)
+        dt = march_dt(u0, eulerian)
+        assert dt == want(u0, slope, eulerian)
+        assert dt >= default_dt(u0)
+        if eulerian and dt > default_dt(u0):  # above the floor, within the advective bound
+            xi_cut = (n // 3) * np.pi / grid.half_length
+            assert dt * xi_cut * np.max(np.abs(u0.values)) <= np.pi / 3 + 1e-12
 
-    def test_geodesic_dt_refuses_a_slope_that_is_not_finite(self):
+    @pytest.mark.parametrize("eulerian", [False, True])
+    def test_march_dt_refuses_a_slope_that_is_not_finite(self, eulerian):
         # the datum is finite, but its transform overflows
         u0 = gaussian_field(make_grid(20, 64), amp=1e308, width=2.0)
         with np.errstate(all="ignore"), pytest.raises(FieldError):
-            geodesic_dt(u0)
+            march_dt(u0, eulerian)
 
 
 @pytest.mark.parametrize("amp", [0.5, 2.0])
 def test_geodesic_dt_time_error_stays_at_the_solve_floor(amp):
     # conserve's datum (amp 0.5) and a steeper one at N = 512, the cheapest
     # grid that resolves both, marched as conserve marches them; the residual
-    # at geodesic_dt stays within 2x that of dt = 1e-3 (measured 3.6e-13 vs
-    # 4.1e-13 and 5.6e-13 vs 5.5e-13), while a step of 1/64 reaches 2.7e-12
-    # and 1.4e-9
+    # at the geodesic march's step stays within 2x that of dt = 1e-3 (measured
+    # 3.6e-13 vs 4.1e-13 and 5.6e-13 vs 5.5e-13), while a step of 1/64 reaches
+    # 2.7e-12 and 1.4e-9
     u0 = gaussian_field(make_grid(20, 512), amp=amp, width=2.0)
 
     def residual(dt):
@@ -124,7 +138,31 @@ def test_geodesic_dt_time_error_stays_at_the_solve_floor(amp):
         assert traj.termination == COMPLETED
         return conservation_residual(traj).max_residual
 
-    assert residual(geodesic_dt(u0)) <= 2.0 * residual(1e-3)
+    assert residual(march_dt(u0, eulerian=False)) <= 2.0 * residual(1e-3)
+
+
+@pytest.mark.parametrize("b", [2.0, 5.0])
+def test_eulerian_march_dt_time_error_stays_far_below_the_acceptance_pins(b):
+    # the eulerian bench datum at N = 256, the cheapest grid at which the time
+    # error has converged in space; the rule gives 1/256, where u(1) matches
+    # that of dt = 1e-3 to 5.8e-12 (b = 2) and 6.1e-11 (b = 5) relative in H^2,
+    # against 1.5e-9 and 1.6e-8 at a step of 1/64, and the b = 2 H^1 drift is
+    # 2.7e-14, against criterion 06's 1e-6
+    u0 = gaussian_field(make_grid(20, 256), amp=0.5, width=2.0)
+    dt = march_dt(u0, eulerian=True)
+    assert dt == 1 / 256
+
+    def march(dt):
+        config = SolverConfig(dt=dt, T=1.0, snapshot_stride=10**9)
+        traj = solve_eulerian(u0, BParams(b=b, s=S), config)
+        assert traj.termination == COMPLETED
+        return traj
+
+    traj, reference = march(dt), march(1e-3).final_state
+    assert hs_norm(traj.final_state - reference, 2.0) <= 1e-9 * hs_norm(reference, 2.0)
+    if b == 2.0:  # the Camassa-Holm energy, as criterion 06 measures its drift
+        e0, e1 = (hs_norm(u, 1.0) ** 2 for u in (traj.states[0], traj.final_state))
+        assert abs(e1 - e0) <= 1e-6 * e0
 
 
 class TestRhsEulerian:
