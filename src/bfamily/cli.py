@@ -26,13 +26,8 @@ import numpy as np
 from .config import RunConfig, load_config, sweep_cell
 from .diagnostics import conservation_residual
 from .dynamics import COMPLETED, solve_eulerian, solve_geodesic
-from .errors import (
-    BFamilyError,
-    ConfigError,
-    DegenerateProbeError,
-    ExpDomainError,
-)
-from .experiments import flow_solver, nonuniformity_experiment, parallel_map
+from .errors import BFamilyError, ConfigError, ExpDomainError
+from .experiments import flow_solver, nonuniformity_experiment
 from .io import (
     write_conservation_csv,
     write_diffeo_csv,
@@ -112,7 +107,8 @@ def _setup(cfg: RunConfig, out: Path, geodesic: bool):
 
 
 def _say(line: str):
-    """One stderr line in one write: pool workers' lines cannot interleave."""
+    """One stderr line in one write: each exit's one line, and the one place
+    any further line (say a progress line) is to be written."""
     sys.stderr.write(line + "\n")
 
 
@@ -159,7 +155,7 @@ def run_nonuniform(cfg: RunConfig, out: Path, options):
         experiment = cfg.build_experiment(cfg.build_grid())
     flow_dt = flow_solver(experiment.solver).dt  # solver.dt is the Eulerian legs' step
     try:
-        report = nonuniformity_experiment(experiment, jobs=options.jobs)
+        report = nonuniformity_experiment(experiment)
     except ExpDomainError as err:
         _say(f"blow-up: {err}")
         fields = {"blowup": str(err), "flow_dt": flow_dt}
@@ -201,17 +197,12 @@ def _exit_code(run, *args) -> int:
     """Run a command, mapping package errors onto the exit-code protocol."""
     try:
         return run(*args)
-    except (ConfigError, DegenerateProbeError) as err:
+    except ConfigError as err:
         _say(f"config error: {err}")
         return EXIT_CONFIG
     except BFamilyError as err:
         _say(f"run failed: {err}")
         return EXIT_BLOWUP
-
-
-def _run_cell(payload) -> int:
-    cfg, out_dir, options = payload
-    return _exit_code(_run, cfg, Path(out_dir), options)
 
 
 def run_sweep(cfg: RunConfig, out: Path, options) -> int:
@@ -242,13 +233,11 @@ def run_sweep(cfg: RunConfig, out: Path, options) -> int:
                 manifest[flag] == getattr(options, flag) for flag in _FLAGS if flag in manifest
             ):
                 done[name] = manifest["exit_code"]
-    pending = [c for c in cells if c[0] not in done]
-    for c in pending:
-        shutil.rmtree(out / c[0], ignore_errors=True)
-    cell_options = argparse.Namespace(**{**vars(options), "jobs": 1})
-    payloads = [(c[3], str(out / c[0]), cell_options) for c in pending]
-    ran = parallel_map(_run_cell, payloads, options.jobs)
-    codes = {**done, **dict(zip([c[0] for c in pending], ran))}
+    codes = dict(done)
+    for name, _, _, cell in cells:
+        if name not in done:
+            shutil.rmtree(out / name, ignore_errors=True)
+            codes[name] = _exit_code(_run, cell, out / name, options)
     index = [
         {"cell": name, "b": float(b), "N": int(n), "skipped": name in done,
          "exit_code": codes[name]}
@@ -268,29 +257,21 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _jobs(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got '{text}'")
-    return value
-
-
 # each flag once: its name -> its add_argument keywords
 _FLAGS = {
     "formulation": {"choices": tuple(_FORMULATIONS), "default": "eulerian"},
     "tol": {"type": _tolerance, "default": CONSERVE_TOL},
-    "jobs": {"type": _jobs, "default": 1},
 }
 
 # Each command: its runner, its --help line and its flags, in --help order.
-# A runner takes (cfg, out, options), options being the parsed flags of the
-# command line or of a sweep cell; each but run_sweep, which writes no
-# manifest, returns (exit code, params, solver, manifest fields) to _run.
+# A runner takes (cfg, out, options), options being the command line's parsed
+# flags, which a sweep passes on to each cell; each but run_sweep, which
+# writes no manifest, returns (exit code, params, solver, manifest fields) to _run.
 _COMMANDS = {
     "solve": (run_solve, "run one trajectory", ("formulation",)),
     "conserve": (run_conserve, "momentum-transport residual check", ("tol",)),
-    "nonuniform": (run_nonuniform, "shrinking-bump separation experiment", ("jobs",)),
-    "sweep": (run_sweep, "cartesian parameter sweep", ("jobs", "formulation", "tol")),
+    "nonuniform": (run_nonuniform, "shrinking-bump separation experiment", ()),
+    "sweep": (run_sweep, "cartesian parameter sweep", ("formulation", "tol")),
 }
 
 

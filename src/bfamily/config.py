@@ -166,52 +166,57 @@ class RunConfig:
         return make_grid(self["grid.L"], self["grid.N"])
 
     def build_field(self, grid: Grid, prefix: str = "initial") -> Field:
-        family = self[f"{prefix}.family"]
-        if family == "gaussian":
-            amp = self[f"{prefix}.amp"]
-            width = self[f"{prefix}.width"]
-            center = self[f"{prefix}.center"]
-            return Field(grid, amp * np.exp(-(((grid.x - center) / width) ** 2)))
-        if family == "bump":
-            return build_bump(
-                self[f"{prefix}.center"],
-                self[f"{prefix}.radius"],
-                self[f"{prefix}.s_norm"],
-                self[f"{prefix}.target"],
-                grid,
-            )
-        if family == "mode":
-            k = self[f"{prefix}.k"]
-            xi = np.pi * k / grid.half_length
-            return Field(grid, self[f"{prefix}.amp"] * np.sin(xi * grid.x))
-        if family == "file":
-            from .io import read_field_csv
-
-            try:
-                field = read_field_csv(self[f"{prefix}.path"])
-            except OSError as err:
-                raise ConfigError(f"{prefix}.path: {err}") from err
-            if field.grid != grid:
-                raise ConfigError(
-                    f"{prefix}.path: field grid does not match grid.L/grid.N"
+        try:
+            family = self[f"{prefix}.family"]
+            if family == "gaussian":
+                amp = self[f"{prefix}.amp"]
+                width = self[f"{prefix}.width"]
+                center = self[f"{prefix}.center"]
+                return Field(grid, amp * np.exp(-(((grid.x - center) / width) ** 2)))
+            if family == "bump":
+                return build_bump(
+                    self[f"{prefix}.center"],
+                    self[f"{prefix}.radius"],
+                    self[f"{prefix}.s_norm"],
+                    self[f"{prefix}.target"],
+                    grid,
                 )
-            return field
-        raise ConfigError(f"unknown family '{family}'")
+            if family == "mode":
+                k = self[f"{prefix}.k"]
+                xi = np.pi * k / grid.half_length
+                return Field(grid, self[f"{prefix}.amp"] * np.sin(xi * grid.x))
+            if family == "file":
+                from .io import read_field_csv
+
+                try:
+                    field = read_field_csv(self[f"{prefix}.path"])
+                except OSError as err:
+                    raise ConfigError(f"{prefix}.path: {err}") from err
+                if field.grid != grid:
+                    raise ConfigError(
+                        f"{prefix}.path: field grid does not match grid.L/grid.N"
+                    )
+                return field
+            raise ConfigError(f"unknown family '{family}'")
+        except FieldError as err:  # values not finite, say a zero width
+            raise ConfigError(f"{prefix}.*: {err}") from err
 
     def build_solver(self, u0: Field, geodesic: bool = False, probe=None) -> SolverConfig:
-        # a derived dt is march_dt of the datum marched from (u0 + the probe Field in
-        # nonuniform's n = 1 legs), capped at the horizon (nonuniform marches time-one maps)
+        # every march's datum (u0 + the probe Field in nonuniform's n = 1 legs) needs a
+        # finite peak and slope, so march_dt checks it even under solver.dt; a derived
+        # dt is march_dt, capped at the horizon (nonuniform marches time-one maps)
         T = 1.0 if self.command == "nonuniform" else self["solver.T"]
+        key = "initial"
+        try:  # u0 alone first, so that an overflow names its key
+            derived = march_dt(u0, not geodesic)
+            if probe is not None:
+                key = "probe"
+                derived = march_dt(u0 + probe, not geodesic)
+        except FieldError as err:
+            raise ConfigError(f"{key}.*: the datum's peak or slope is not finite") from err
         dt = self["solver.dt"]
         if dt is None:
-            try:  # u0 alone first, so that an overflow names its key
-                dt = march_dt(u0, not geodesic)
-                if probe is not None:
-                    dt = march_dt(u0 + probe, not geodesic)
-            except FieldError as err:
-                key = "initial" if dt is None else "probe"
-                raise ConfigError(f"{key}.*: the datum's peak or slope is not finite") from err
-            dt = min(dt, T)
+            dt = min(derived, T)
         return SolverConfig(
             dt=dt,
             T=T,

@@ -34,13 +34,13 @@ class ExpDomainError(BFamilyError):
     """Initial velocity outside the numerical domain of the exponential map."""
 
 
-class DegenerateProbeError(BFamilyError):
-    """Probe direction produced a numerically zero differential."""
-
-
 class UnderResolvedError(BFamilyError, ValueError):
     """Requested bump support is too small for the grid spacing."""
 
 
 class ConfigError(BFamilyError, ValueError):
     """Run configuration failed to parse or validate."""
+
+
+class DegenerateProbeError(ConfigError):
+    """Probe direction produced a numerically zero differential."""

@@ -12,7 +12,6 @@ max(solver.dt, FLOW_DT); the Eulerian time-one maps keep solver.dt.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -160,26 +159,13 @@ def _resolved_row(payload) -> ExperimentRow:
     )
 
 
-def parallel_map(fn, items: list, jobs: int) -> list:
-    """[fn(x) for x in items], in min(jobs, len(items)) processes when that
-    exceeds 1, all started at once, each with the caller's np.geterr()."""
-    workers = min(jobs, len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor  # its import costs ~20 ms
-
-    with ProcessPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
-        return list(pool.map(fn, items))
-
-
-def nonuniformity_experiment(cfg: NonUniformityConfig, jobs: int = 1) -> ExperimentReport:
+def nonuniformity_experiment(cfg: NonUniformityConfig) -> ExperimentReport:
     """Run the shrinking-bump construction for every n in cfg.n_values.
 
     Every bump w_n is built before any march, so build_bump alone decides
     each n: an under-resolved bump (radius at or below 4h) flags its row, and
     one leaving |x| <= 0.75 L is a ConfigError naming n.  Blow-ups abort with
-    the offending n and sequence; jobs > 1 runs the independent per-n marches
-    in separate processes, and the report stays n-ordered.
+    the offending n and sequence.
     """
     grid = cfg.u0.grid
     s = cfg.params.s
@@ -204,5 +190,5 @@ def nonuniformity_experiment(cfg: NonUniformityConfig, jobs: int = 1) -> Experim
         else:
             payloads.append((cfg, n, r_n, w_n, i0))
 
-    rows.update((row.n, row) for row in parallel_map(_resolved_row, payloads, jobs))
+    rows.update((row.n, row) for row in map(_resolved_row, payloads))
     return ExperimentReport([rows[n] for n in cfg.n_values], m_est, x0_est, L_est)

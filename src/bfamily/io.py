@@ -1,8 +1,9 @@
 """CSV and JSON artifacts.
 
 Floats are printed with 17 significant digits so every emitted CSV
-round-trips bit-exactly; a field or flow-map CSV formats all its rows in
-one %-operation, which prints the same 17-digit bytes as f"{x:.17g}".
+round-trips bit-exactly; a field, flow-map or conservation CSV formats all
+its rows in one %-operation, which prints the same 17-digit bytes as
+f"{x:.17g}".
 JSON is written with sorted keys for reproducible bytes.
 """
 
@@ -25,13 +26,14 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_two_column(path, header, x, values):
-    rows = np.column_stack([x, values]).ravel().tolist()
-    Path(path).write_text(f"{header}\n" + ("%.17g,%.17g\n" * len(x)) % tuple(rows))
+def _write_rows(path, header, row, *columns):
+    """header, then one row per index of the columns, all in one %-operation."""
+    values = np.column_stack(columns).ravel().tolist()
+    Path(path).write_text(f"{header}\n" + (row * len(columns[0])) % tuple(values))
 
 
 def write_field_csv(path, field: Field):
-    _write_two_column(path, "x,value", field.grid.x, field.values)
+    _write_rows(path, "x,value", "%.17g,%.17g\n", field.grid.x, field.values)
 
 
 def read_field_csv(path) -> Field:
@@ -63,17 +65,13 @@ def read_field_csv(path) -> Field:
 
 
 def write_diffeo_csv(path, phi: Diffeomorphism):
-    _write_two_column(path, "x,displacement", phi.grid.x, phi.displacement.values)
+    _write_rows(path, "x,displacement", "%.17g,%.17g\n", phi.grid.x, phi.displacement.values)
 
 
 def write_conservation_csv(path, report: ConservationReport):
-    lines = ["t,res_hs2,res_sup,relative"]
-    relative = int(report.relative)
-    for t, rn, rs in zip(
-        report.times, report.residual_s_minus_2, report.residual_sup
-    ):
-        lines.append(f"{_fmt(t)},{_fmt(rn)},{_fmt(rs)},{relative}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    relative = np.full(len(report.times), int(report.relative))  # %d prints 1.0 as 1
+    _write_rows(path, "t,res_hs2,res_sup,relative", "%.17g,%.17g,%.17g,%d\n",
+                report.times, report.residual_s_minus_2, report.residual_sup, relative)
 
 
 # the experiment report's columns are ExperimentRow's fields in declared

@@ -247,28 +247,3 @@ def read_diffeo_csv(path) -> Diffeomorphism:
     grid = make_grid(-x[0], len(x))
     assert np.array_equal(grid.x, x), f"{path}: x column is not a uniform [-L, L) grid"
     return Diffeomorphism(grid, Field(grid, disp))
-
-
-def record_pools(monkeypatch) -> list:
-    """Swap the package's process pool for an in-process map.
-
-    Returns the list that receives the max_workers of every pool started,
-    so a test can check pool sizes without starting a process.
-    """
-    sizes = []
-
-    class Pool:
-        def __init__(self, max_workers, initializer=None):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
-    return sizes

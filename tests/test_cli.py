@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import FAST_SOLVE, check_golden, read_diffeo_csv, record_pools, tree_digest
+from helpers import FAST_SOLVE, check_golden, read_diffeo_csv, tree_digest
 
 from bfamily.cli import build_parser, main
 from bfamily.config import parse_config
@@ -259,6 +259,25 @@ class TestConserve:
         assert manifest["max_residual"] <= 1e-4
         report = (out / "report.csv").read_text().strip().split("\n")
         assert all(line.endswith(",1") for line in report[1:])
+
+    def test_report_rows_print_seventeen_significant_digits(self, tmp_path):
+        from bfamily.diagnostics import ConservationReport
+        from bfamily.io import write_conservation_csv
+
+        report = ConservationReport(
+            times=np.array([0.0, 0.1, 1 / 3]),
+            residual_s_minus_2=np.array([-0.0, 7.9e-13, np.nan]),
+            residual_sup=np.array([1e-300, np.inf, 2.0]),
+            relative=True,
+        )
+        path = tmp_path / "report.csv"
+        write_conservation_csv(path, report)
+        assert path.read_text() == (
+            "t,res_hs2,res_sup,relative\n"
+            "0,-0,1e-300,1\n"
+            "0.10000000000000001,7.8999999999999997e-13,inf,1\n"
+            "0.33333333333333331,nan,2,1\n"
+        )
 
     def test_tight_tolerance_fails_exit_three(self, tmp_path):
         text = FAST_SOLVE.replace("grid.N = 64", "grid.N = 256").replace(
@@ -540,28 +559,6 @@ class TestSweep:
         assert tree_digest(out_sweep / "b2_N64") == tree_digest(out_direct)
         assert any(out_direct.glob("phi_*.csv"))
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        cfg = write_config(tmp_path, SWEEP_CFG)
-        out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-        assert run_cli("sweep", "--config", str(cfg), "--out", str(out1)) == 0
-        assert (
-            run_cli("sweep", "--config", str(cfg), "--out", str(out2), "--jobs", "3")
-            == 0
-        )
-        a = {p.relative_to(out1).as_posix(): p.read_bytes() for p in sorted(out1.rglob("*.csv"))}
-        b = {p.relative_to(out2).as_posix(): p.read_bytes() for p in sorted(out2.rglob("*.csv"))}
-        assert a == b
-
-
-@pytest.mark.parametrize("jobs, pool", [("64", [3]), ("2", [2]), ("1", [])])
-def test_sweep_pool_never_exceeds_its_cells(tmp_path, monkeypatch, jobs, pool):
-    sizes = record_pools(monkeypatch)
-    cfg = write_config(tmp_path, SWEEP_CFG)
-    out = tmp_path / "out"
-    assert run_cli("sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs) == 0
-    assert sizes == pool
-    assert len(json.loads((out / "index.json").read_text())["cells"]) == 3
-
 
 MANIFEST_BASE = {"command", "config", "config_hash", "exit_code", "params", "solver"}
 SOLVE_FIELDS = {"formulation", "termination", "times", "snapshots"}
@@ -691,29 +688,36 @@ def test_derived_dt_follows_the_march(tmp_path):
             assert manifest["flow_dt"] == 1 / 64
 
 
-# no solver.dt, so the step derives from a finite datum whose slope overflows
-# the transform; the config error names the datum's keys, before --out exists
+# a finite datum whose slope overflows the transform (amp 1e308), with the
+# step derived from it or set by solver.dt, or a datum that is not finite
+# (width 0): the config error names the datum's keys, before --out exists
+SLOPE = "the datum's peak or slope is not finite"
+NOT_FINITE = "field values must be finite"
+DERIVED_SOLVE = FAST_SOLVE.replace("solver.dt = 0.01\n", "")
+DERIVED_NONUNIFORM = NONUNIFORM_CFG.replace("solver.dt = 0.005\n", "")
 OVERFLOWING_DATA = {
-    "solve": ("solve", FAST_SOLVE.replace("solver.dt = 0.01\n", ""), "initial.amp"),
-    "conserve": ("conserve", FAST_SOLVE.replace("solver.dt = 0.01\n", ""), "initial.amp"),
-    "nonuniform-initial": (
-        "nonuniform", NONUNIFORM_CFG.replace("solver.dt = 0.005\n", ""), "initial.amp"
-    ),
-    "nonuniform-probe": (
-        "nonuniform", NONUNIFORM_CFG.replace("solver.dt = 0.005\n", ""), "probe.amp"
-    ),
+    "solve": ("solve", DERIVED_SOLVE, "initial.amp", "1e308", SLOPE),
+    "conserve": ("conserve", DERIVED_SOLVE, "initial.amp", "1e308", SLOPE),
+    "nonuniform-initial": ("nonuniform", DERIVED_NONUNIFORM, "initial.amp", "1e308", SLOPE),
+    "nonuniform-probe": ("nonuniform", DERIVED_NONUNIFORM, "probe.amp", "1e308", SLOPE),
+    "solve-dt-set": ("solve", FAST_SOLVE, "initial.amp", "1e308", SLOPE),
+    "conserve-dt-set": ("conserve", FAST_SOLVE, "initial.amp", "1e308", SLOPE),
+    "nonuniform-initial-dt-set": ("nonuniform", NONUNIFORM_CFG, "initial.amp", "1e308", SLOPE),
+    "nonuniform-probe-dt-set": ("nonuniform", NONUNIFORM_CFG, "probe.amp", "1e308", SLOPE),
+    "solve-zero-width": ("solve", FAST_SOLVE, "initial.width", "0", NOT_FINITE),
+    "nonuniform-probe-zero-width": ("nonuniform", NONUNIFORM_CFG, "probe.width", "0", NOT_FINITE),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OVERFLOWING_DATA))
 def test_overflowing_datum_exits_one_naming_its_key(tmp_path, capsys, case):
-    command, text, key = OVERFLOWING_DATA[case]
-    text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = 1e308", text, flags=re.M)
+    command, text, key, value, reason = OVERFLOWING_DATA[case]
+    text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
     cfg, out = write_config(tmp_path, text), tmp_path / "out"
     assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
     err = capsys.readouterr().err
     prefix = key.split(".")[0]
-    assert err == f"config error: {prefix}.*: the datum's peak or slope is not finite\n"
+    assert err == f"config error: {prefix}.*: {reason}\n"
     assert not out.exists()
 
 
@@ -766,8 +770,13 @@ BAD_INPUTS = {
         SWEEP_CFG.replace("sweep.command = solve", "sweep.command = bogus"),
     ),
     "sweep-without-command": ("sweep", SWEEP_CFG.replace("sweep.command = solve\n", "")),
-    "sweep-jobs-zero": ("sweep", SWEEP_CFG, "--jobs", "0"),
-    "nonuniform-jobs-negative": ("nonuniform", NONUNIFORM_CFG, "--jobs", "-2"),
+    # DegenerateProbeError is a ConfigError, so it exits 1 like any other
+    "probe-amp-zero": (
+        "nonuniform",
+        NONUNIFORM_CFG.replace("probe.amp = 4.5", "probe.amp = 0"),
+    ),
+    "sweep-jobs-removed": ("sweep", SWEEP_CFG, "--jobs", "2"),
+    "nonuniform-jobs-removed": ("nonuniform", NONUNIFORM_CFG, "--jobs", "2"),
     "scalecheck-removed": ("scalecheck", FAST_SOLVE),
     "exp-removed": ("exp", FAST_SOLVE),
     "sweep-wraps-exp": (
@@ -1079,7 +1088,7 @@ OVERFLOWING_RUNS = {
     "solve-eulerian": ["solve"],
     "solve-lagrangian": ["solve", "--formulation", "lagrangian"],
     "conserve": ["conserve"],
-    "sweep-jobs-2": ["sweep", "--jobs", "2"],  # each cell in a pool worker
+    "sweep": ["sweep"],  # one line per cell
 }
 
 

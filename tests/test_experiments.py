@@ -1,11 +1,10 @@
 """Tests for the bump construction and the non-uniformity experiment."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import central_dexp, record_pools, scaling_check
+from helpers import central_dexp, scaling_check
 
 from bfamily import experiments
 from bfamily.dynamics import BParams, SolverConfig, solve_eulerian, time_one_map
@@ -17,7 +16,6 @@ from bfamily.experiments import (
     build_bump,
     estimate_probe_geometry,
     nonuniformity_experiment,
-    parallel_map,
 )
 from bfamily.spectral import Field, hs_norm, make_grid
 
@@ -207,9 +205,8 @@ class TestNonUniformityExperiment:
         report, _ = report_and_config
         assert report.separation_persistence_ok()
 
-    def test_deterministic_rerun_and_parallel_agreement(self, report_and_config):
-        # reruns are bit-identical, and the process-parallel path reduces
-        # to the same report
+    def test_deterministic_rerun(self, report_and_config):
+        # reruns are bit-identical
         report, cfg = report_and_config
         again = nonuniformity_experiment(cfg)
         for a, b in zip(report.rows, again.rows):
@@ -218,16 +215,6 @@ class TestNonUniformityExperiment:
             )
         assert (again.m_est, again.x0_est, again.L_est) == (
             report.m_est, report.x0_est, report.L_est
-        )
-        # both n resolve at N = 1024, so jobs=2 computes the rows in a
-        # 2-worker pool (at N = 512 only n = 1 resolves: no pool starts)
-        cfg = small_experiment_config(1024, (1, 2))
-        serial = nonuniformity_experiment(cfg)
-        assert [row.resolved_ok for row in serial.rows] == [True, True]
-        parallel = nonuniformity_experiment(cfg, jobs=2)
-        assert parallel.rows == serial.rows
-        assert (parallel.m_est, parallel.x0_est, parallel.L_est) == (
-            serial.m_est, serial.x0_est, serial.L_est
         )
 
 
@@ -279,44 +266,6 @@ def test_flows_step_at_flow_dt_and_eulerian_legs_at_solver_dt(monkeypatch, dt, T
             assert config is solver
         else:
             assert (config.dt, config.T) == (max(dt, FLOW_DT), 1.0)
-
-
-@pytest.mark.parametrize("jobs, pool", [(64, [3]), (2, [2]), (1, [])])
-def test_pool_never_exceeds_resolved_rows(monkeypatch, jobs, pool):
-    # geometry and rows are stubbed so that n = 1, 2, 4 all resolve (bump
-    # radii 1.47, 0.73, 0.37 > 4h = 0.3125, centred at 0): only the fan-out
-    # over the rows is under test
-    sizes = record_pools(monkeypatch)
-    monkeypatch.setattr(
-        "bfamily.experiments.estimate_probe_geometry", lambda cfg: (0.0, 1.0, 1.0)
-    )
-    monkeypatch.setattr(
-        "bfamily.experiments._resolved_row", lambda payload: SimpleNamespace(n=payload[1])
-    )
-    report = nonuniformity_experiment(small_experiment_config(), jobs=jobs)
-    assert sizes == pool
-    assert [row.n for row in report.rows] == [1, 2, 4]
-
-
-def floating_point_handling(_):
-    return np.geterr()
-
-
-def test_pool_workers_take_the_callers_floating_point_handling(monkeypatch):
-    # spawned workers start from numpy's defaults (forked ones would inherit
-    # the caller's handling either way)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from functools import partial
-
-    spawn = multiprocessing.get_context("spawn")
-    monkeypatch.setattr(
-        "concurrent.futures.ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=spawn)
-    )
-    with np.errstate(all="ignore", under="raise"):
-        handling = parallel_map(floating_point_handling, [1, 2], 2)
-    expected = {"divide": "ignore", "over": "ignore", "under": "raise", "invalid": "ignore"}
-    assert handling == [expected] * 2
 
 
 def test_build_bump_alone_decides_which_n_run(monkeypatch):

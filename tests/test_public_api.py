@@ -1,6 +1,7 @@
 """Every public function and method of the package has a caller in the package,
-its classes define no special method beyond the protocol it uses, and each
-module uses every name it imports, so no module re-exports another's names."""
+its classes define no special method beyond the protocol it uses, each
+module uses every name it imports, so no module re-exports another's names,
+and every run stays in the one process that started it."""
 
 import ast
 from collections import Counter
@@ -116,3 +117,26 @@ def test_every_imported_name_is_used_where_it_is_imported():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{path.stem}.{name}" for name in imported_names(tree) if name not in used]
     assert not unused, f"imported names their module never uses: {unused}"
+
+
+def imported_modules(tree) -> list:
+    """Top-level names of the modules a module's import statements load."""
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.extend(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module.split(".")[0])
+    return modules
+
+
+def test_no_module_starts_another_process():
+    # a run marches in the process that started it: no pool, no child process
+    spawning = {"concurrent", "multiprocessing", "subprocess"}
+    found = [
+        f"{path.stem} imports {module}"
+        for path in sorted(SRC.glob("*.py"))
+        for module in imported_modules(ast.parse(path.read_text()))
+        if module in spawning
+    ]
+    assert not found, f"modules that can start another process: {found}"

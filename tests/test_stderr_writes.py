@@ -1,8 +1,8 @@
 """Every stderr line of the package goes out through cli._say, in one write.
 
-print(..., file=sys.stderr) writes the message and its newline separately,
-so the lines of sweep cells running in parallel can interleave on the pipe
-they share; a single write shorter than PIPE_BUF cannot.
+print(..., file=sys.stderr) writes the message and its newline separately;
+one write keeps each exit's one stderr line whole, and keeps the single
+place where more lines (a verbose mode's progress) would be added.
 """
 
 import ast
