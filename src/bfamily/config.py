@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import BParams, SolverConfig, march_dt
-from .errors import ConfigError, FieldError
+from .errors import ConfigError, FieldError, GridError
 from .experiments import NonUniformityConfig, build_bump
 from .spectral import Field, Grid, make_grid
 
@@ -28,7 +28,7 @@ _COMMON_KEYS = {
     "grid.N": ("int", 1024),
     "params.b": ("float", 2.0),
     "params.s": ("float", 2.0),
-    "solver.dt": ("float", None),  # None -> march_dt of the march's datum, capped at T
+    "solver.dt": ("float", None),  # None -> march_dt (cap 1/256, flow 1/128), capped at T
     "solver.T": ("float", 1.0),
     "solver.stride": ("int", 100),
     "solver.norm_cap": ("float", 1e6),
@@ -163,7 +163,11 @@ class RunConfig:
         return digest.hexdigest()
 
     def build_grid(self) -> Grid:
-        return make_grid(self["grid.L"], self["grid.N"])
+        try:
+            return make_grid(self["grid.L"], self["grid.N"])
+        except GridError as err:  # Grid's message opens with the parameter at fault
+            key = "grid.N" if str(err).startswith("n_points") else "grid.L"
+            raise ConfigError(f"{key}: {err}") from err
 
     def build_field(self, grid: Grid, prefix: str = "initial") -> Field:
         try:
@@ -203,8 +207,8 @@ class RunConfig:
 
     def build_solver(self, u0: Field, geodesic: bool = False, probe=None) -> SolverConfig:
         # every march's datum (u0 + the probe Field in nonuniform's n = 1 legs) needs a
-        # finite peak and slope, so march_dt checks it even under solver.dt; a derived
-        # dt is march_dt, capped at the horizon (nonuniform marches time-one maps)
+        # peak and slope with finite squares, so march_dt checks it even under solver.dt;
+        # a derived dt is march_dt, capped at the horizon (nonuniform marches time-one maps)
         T = 1.0 if self.command == "nonuniform" else self["solver.T"]
         key = "initial"
         try:  # u0 alone first, so that an overflow names its key
@@ -213,7 +217,9 @@ class RunConfig:
                 key = "probe"
                 derived = march_dt(u0 + probe, not geodesic)
         except FieldError as err:
-            raise ConfigError(f"{key}.*: the datum's peak or slope is not finite") from err
+            raise ConfigError(
+                f"{key}.*: the datum's peak or slope, or its square, is not finite"
+            ) from err
         dt = self["solver.dt"]
         if dt is None:
             dt = min(derived, T)

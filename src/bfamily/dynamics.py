@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diffeo import Diffeomorphism, compose_field, identity, invert
-from .errors import ExpDomainError, GridError, PositivityError, SolverError
+from .errors import ExpDomainError, FieldError, GridError, PositivityError, SolverError
 from .spectral import Field, Grid, derivative
 
 COMPLETED = "completed"
@@ -132,16 +132,21 @@ def default_dt(u0: Field) -> float:
 
 
 def march_dt(u0: Field, eulerian: bool) -> float:
-    """max(default_dt, min(1/256, 1e-3 / max|u0_x|, 0.5 h / max|u0| if eulerian)).
+    """max(default_dt, min(cap, bound / max|u0_x|, 0.5 h / max|u0| if eulerian)).
 
-    The flow is a smooth ODE, so accuracy limits a step: dt max|u0_x| <= 1e-3 holds
-    the time error near that of dt = 1e-3.  The advective term keeps an Eulerian
-    march's t = 0 RK4 stability number dt xi_cut max|u0| at most pi/3.
+    Accuracy limits a step.  The flow is a smooth ODE: (cap, bound) = (1/128, 2e-3)
+    keeps conserve's residual within 2x that of dt = 1e-3, or under 1e-10.  The
+    Eulerian field carries advective time error: (1/256, 1e-3), and the advective
+    term keeps its t = 0 RK4 stability number dt xi_cut max|u0| at most pi/3.
+    FieldError if the peak or slope, or its square (the first flux), is not finite.
     """
     peak = float(np.max(np.abs(u0.values)))
     slope = float(np.max(np.abs(derivative(u0, 1).values)))  # FieldError if not finite
+    if not math.isfinite(peak * peak + slope * slope):
+        raise FieldError("the square of the datum's peak or slope overflows")
+    cap, bound = (1 / 256, 1e-3) if eulerian else (1 / 128, 2e-3)
     advective = 0.5 * u0.grid.spacing / peak if eulerian and peak else math.inf
-    return max(default_dt(u0), min(1 / 256, 1e-3 / slope if slope else math.inf, advective))
+    return max(default_dt(u0), min(cap, bound / slope if slope else math.inf, advective))
 
 
 def _eulerian_rhs(grid: Grid, b: float):

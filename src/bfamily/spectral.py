@@ -43,7 +43,10 @@ class Grid:
             raise GridError(f"half_length must be positive and finite, got {L}")
         if N < 16 or (N & (N - 1)) != 0:
             raise GridError(f"n_points must be a power of two >= 16, got {N}")
-        h = 2.0 * L / N
+        h, xi_top = 2.0 * L / N, np.pi * (N // 2) / L
+        if not (0 < h < np.inf and 0 < xi_top < np.inf):
+            raise GridError(f"half_length {L:g} gives spacing {h:g} and top wavenumber "
+                            f"{xi_top:g} at n_points {N}; both must be positive and finite")
         k = np.arange(N // 2 + 1)
         xi = (np.pi / L) * k
         d1 = 1j * xi

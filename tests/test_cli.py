@@ -161,7 +161,7 @@ class TestSolve:
 
     def test_last_lagrangian_snapshot_at_t_one_is_exp(self, tmp_path):
         # exp_v(1) is the last phi_*.csv of a Lagrangian solve to solver.T = 1,
-        # at a given solver.dt and at the geodesic default (1/256 here)
+        # at a given solver.dt and at the geodesic default (1/128 here)
         given = FAST_SOLVE.replace("solver.T = 0.1", "solver.T = 1")
         derived = given.replace("solver.dt = 0.01\n", "")
         for name, text in (("given", given), ("derived", derived)):
@@ -170,7 +170,7 @@ class TestSolve:
             assert run_cli("solve", *argv, "--formulation", "lagrangian") == 0
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["times"][-1] == 1.0
-            assert manifest["solver"]["dt"] == (0.01 if name == "given" else 1 / 256)
+            assert manifest["solver"]["dt"] == (0.01 if name == "given" else 1 / 128)
             last = read_diffeo_csv(out / manifest["snapshots"][-1]["files"][0])
             run = parse_config(text, "solve")
             u0 = run.build_field(run.build_grid())
@@ -646,7 +646,7 @@ def test_derived_dt_is_capped_at_the_marched_horizon(tmp_path, command):
 
 def test_derived_dt_follows_the_march(tmp_path):
     # one datum without solver.dt: each march derives march_dt of the datum it
-    # starts from, 1/256 for u0 whether Eulerian or not; nonuniform's Eulerian
+    # starts from, for u0 1/256 if Eulerian and 1/128 if not; nonuniform's Eulerian
     # legs start from u0 + v at n = 1, whose slope bounds theirs, and its flows
     # keep flow_dt
     text = NONUNIFORM_CFG.replace("solver.dt = 0.005\n", "").replace(
@@ -660,7 +660,8 @@ def test_derived_dt_follows_the_march(tmp_path):
     legs_dt = march_dt(run.build_field(grid) + run.build_field(grid, "probe"), eulerian=True)
     assert legs_dt == pytest.approx(1.2146e-3, rel=1e-4)
     # a wave on which the advective term binds the Eulerian march alone:
-    # 0.5 h / max|u0| = 2.44e-3 there, against 1e-3 / max|u0_x| = 3.18e-3
+    # 0.5 h / max|u0| = 2.44e-3 there, against 1e-3 / max|u0_x| = 3.18e-3, while
+    # the flow's 2e-3 / max|u0_x| = 6.37e-3 is under its cap
     kept = [line for line in FAST_SOLVE.splitlines()
             if not line.startswith(("grid.N", "solver.dt", "solver.T", "initial."))]
     wave = "\n".join(kept + [
@@ -670,13 +671,13 @@ def test_derived_dt_follows_the_march(tmp_path):
     run = parse_config(wave, "solve")
     u0 = run.build_field(run.build_grid())
     runs = [
-        (["conserve"], datum, 0, 1 / 256),
-        (["solve", "--formulation", "lagrangian"], datum, 0, 1 / 256),
+        (["conserve"], datum, 0, 1 / 128),
+        (["solve", "--formulation", "lagrangian"], datum, 0, 1 / 128),
         (["solve"], datum, 0, 1 / 256),
         (["nonuniform"], text, 3, legs_dt),
         (["solve"], wave, 0, 0.5 * u0.grid.spacing / np.max(np.abs(u0.values))),
         (["solve", "--formulation", "lagrangian"], wave, 0,
-         1e-3 / np.max(np.abs(derivative(u0, 1).values))),
+         2e-3 / np.max(np.abs(derivative(u0, 1).values))),
     ]
     for i, (argv, config, code, dt) in enumerate(runs):
         out = tmp_path / f"out{i}"
@@ -688,10 +689,13 @@ def test_derived_dt_follows_the_march(tmp_path):
             assert manifest["flow_dt"] == 1 / 64
 
 
-# a finite datum whose slope overflows the transform (amp 1e308), with the
+# a finite datum whose slope overflows the transform (amp 1e308) or whose
+# square, the first right-hand side's flux, overflows (amp 1e200), with the
 # step derived from it or set by solver.dt, or a datum that is not finite
-# (width 0): the config error names the datum's keys, before --out exists
-SLOPE = "the datum's peak or slope is not finite"
+# (width 0): the config error names the datum's keys, before --out exists.
+# At amp 1e150 the square is finite, and solve at solver.dt = 0.01 blows up
+# in its first step: a genuine numerical end, which stays exit 2
+SLOPE = "the datum's peak or slope, or its square, is not finite"
 NOT_FINITE = "field values must be finite"
 DERIVED_SOLVE = FAST_SOLVE.replace("solver.dt = 0.01\n", "")
 DERIVED_NONUNIFORM = NONUNIFORM_CFG.replace("solver.dt = 0.005\n", "")
@@ -704,6 +708,11 @@ OVERFLOWING_DATA = {
     "conserve-dt-set": ("conserve", FAST_SOLVE, "initial.amp", "1e308", SLOPE),
     "nonuniform-initial-dt-set": ("nonuniform", NONUNIFORM_CFG, "initial.amp", "1e308", SLOPE),
     "nonuniform-probe-dt-set": ("nonuniform", NONUNIFORM_CFG, "probe.amp", "1e308", SLOPE),
+    "solve-square": ("solve", FAST_SOLVE, "initial.amp", "1e200", SLOPE),
+    "conserve-square": ("conserve", FAST_SOLVE, "initial.amp", "1e200", SLOPE),
+    "conserve-square-derived": ("conserve", DERIVED_SOLVE, "initial.amp", "1e200", SLOPE),
+    "nonuniform-initial-square": ("nonuniform", NONUNIFORM_CFG, "initial.amp", "1e200", SLOPE),
+    "nonuniform-probe-square": ("nonuniform", NONUNIFORM_CFG, "probe.amp", "1e200", SLOPE),
     "solve-zero-width": ("solve", FAST_SOLVE, "initial.width", "0", NOT_FINITE),
     "nonuniform-probe-zero-width": ("nonuniform", NONUNIFORM_CFG, "probe.width", "0", NOT_FINITE),
 }
@@ -718,6 +727,19 @@ def test_overflowing_datum_exits_one_naming_its_key(tmp_path, capsys, case):
     err = capsys.readouterr().err
     prefix = key.split(".")[0]
     assert err == f"config error: {prefix}.*: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "conserve", "nonuniform"])
+@pytest.mark.parametrize("L", ["1e308", "1e-308", "5e-324"])
+def test_grid_fault_names_grid_L(tmp_path, capsys, command, L):
+    # 2 L overflows, pi (N/2) / L overflows, or the spacing 2 L / N underflows to 0:
+    # the fault is the grid's, not the datum's
+    text = NONUNIFORM_CFG if command == "nonuniform" else FAST_SOLVE
+    cfg, out = write_config(tmp_path, text.replace("grid.L = 20", f"grid.L = {L}")), tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid.L: half_length ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -807,6 +829,13 @@ BAD_INPUTS = {
     "nonuniform-step-count-overflows": (
         "nonuniform",
         NONUNIFORM_CFG.replace("solver.dt = 0.005", "solver.dt = 1e-310"),
+    ),
+    # grid.L whose spacing or top wavenumber is not a positive finite number
+    "grid-L-wavenumber-overflows": ("solve", FAST_SOLVE.replace("grid.L = 20", "grid.L = 1e-308")),
+    "grid-L-spacing-underflows": ("conserve", FAST_SOLVE.replace("grid.L = 20", "grid.L = 5e-324")),
+    "grid-L-spacing-overflows": (
+        "nonuniform",
+        NONUNIFORM_CFG.replace("grid.L = 20", "grid.L = 1e308"),
     ),
     # the wavenumbers alone take 2**58 bytes, more than any address space
     # holds, so the allocation fails at once and touches no memory
@@ -1082,8 +1111,10 @@ def test_huge_step_count_is_blowup_without_traceback(tmp_path, case):
     assert proc.stderr.startswith(f"blow-up: {termination} at t = ")
 
 
-# amplitude 1e200 overflows the first step's squares: the march reports the
-# lost finiteness as its one line, with no numpy RuntimeWarning before it
+# amplitude 1e150 squares to a finite 1e300, so the config stands, but the
+# first step overflows: the march reports the lost finiteness as its one
+# line, with no numpy RuntimeWarning before it (at 1e200 the square itself
+# overflows, a config error: test_overflowing_datum_exits_one_naming_its_key)
 OVERFLOWING_RUNS = {
     "solve-eulerian": ["solve"],
     "solve-lagrangian": ["solve", "--formulation", "lagrangian"],
@@ -1095,7 +1126,7 @@ OVERFLOWING_RUNS = {
 @pytest.mark.parametrize("case", sorted(OVERFLOWING_RUNS))
 def test_floating_point_overflow_is_one_line_without_warnings(tmp_path, case):
     argv = OVERFLOWING_RUNS[case]
-    text = FAST_SOLVE.replace("initial.amp = 0.3", "initial.amp = 1e200")
+    text = FAST_SOLVE.replace("initial.amp = 0.3", "initial.amp = 1e150")
     if argv[0] == "sweep":
         text = text.replace("params.b = 2", "sweep.b = 0,2") + "sweep.command = solve\n"
     proc, _ = run_fresh(tmp_path, argv[0], text, *argv[1:])
@@ -1112,7 +1143,7 @@ def test_floating_point_errors_are_silenced_only_inside_the_command(tmp_path):
     from bfamily.spectral import Field, make_grid
 
     before = np.geterr()
-    cfg = write_config(tmp_path, FAST_SOLVE.replace("initial.amp = 0.3", "initial.amp = 1e200"))
+    cfg = write_config(tmp_path, FAST_SOLVE.replace("initial.amp = 0.3", "initial.amp = 1e150"))
     assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
     assert np.geterr() == before
     grid = make_grid(20, 64)

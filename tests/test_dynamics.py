@@ -84,36 +84,44 @@ class TestParams:
 
     @pytest.mark.parametrize("eulerian", [False, True])
     def test_march_dt_of_a_zero_datum_is_the_flow_cap(self, eulerian):
-        assert march_dt(Field.zeros(make_grid(20, 1024)), eulerian) == 1 / 256
+        assert march_dt(Field.zeros(make_grid(20, 1024)), eulerian) == (
+            1 / 256 if eulerian else 1 / 128)
 
     @pytest.mark.parametrize("eulerian", [False, True])
     @pytest.mark.parametrize(
         "n, amp, offset, want",
         [
-            # the eulerian bench datum: 1e-3 / slope = 4.7e-3, 0.5 h / max|u0| = 2.0e-2
-            (2048, 0.5, 0.0, lambda u0, slope, eulerian: 1 / 256),
-            (1024, 2.0, 0.0, lambda u0, slope, eulerian: 1e-3 / slope),  # 1.17e-3
+            # the eulerian bench datum: 1e-3 / slope = 4.7e-3, 0.5 h / max|u0| = 2.0e-2;
+            # the flow's 2e-3 / slope = 9.4e-3 is above its cap
+            (2048, 0.5, 0.0, lambda u0, slope, eulerian: 1 / 256 if eulerian else 1 / 128),
+            # 1e-3 / slope = 1.17e-3, 2e-3 / slope = 2.34e-3
+            (1024, 2.0, 0.0, lambda u0, slope, eulerian: (1e-3 if eulerian else 2e-3) / slope),
             # the bench bump on a constant 10: 0.5 h / max|u0| = 1.86e-3 binds only
             # the Eulerian march, whose t = 0 stability number is then at its bound
             (1024, 0.5, 10.0, lambda u0, slope, eulerian: (
-                0.5 * u0.grid.spacing / np.max(np.abs(u0.values)) if eulerian else 1 / 256)),
-            (1024, 4.0, 0.0, lambda u0, slope, eulerian: default_dt(u0)),  # 1e-3 / slope = 5.8e-4
+                0.5 * u0.grid.spacing / np.max(np.abs(u0.values)) if eulerian else 1 / 128)),
+            # 1e-3 / slope = 5.8e-4 is below the floor, 2e-3 / slope = 1.16e-3 is not
+            (1024, 4.0, 0.0, lambda u0, slope, eulerian: (
+                default_dt(u0) if eulerian else 2e-3 / slope)),
             (1024, 1e19, 0.0, lambda u0, slope, eulerian: default_dt(u0)),
         ],
         ids=["bench-datum", "amp-2", "offset-10", "amp-4", "amp-1e19"],
     )
-    def test_march_dt_keeps_dt_slope_at_most_1e_3_and_never_below_default_dt(
+    def test_march_dt_keeps_dt_slope_within_its_bound_and_never_below_default_dt(
         self, n, amp, offset, want, eulerian
     ):
+        # dt max|u0_x| <= 1e-3 for an Eulerian march, <= 2e-3 for the flow
         grid = make_grid(20, n)
         u0 = Field(grid, offset + gaussian_field(grid, amp=amp, width=2.0).values)
         slope = np.max(np.abs(derivative(u0, 1).values))
         dt = march_dt(u0, eulerian)
         assert dt == want(u0, slope, eulerian)
         assert dt >= default_dt(u0)
-        if eulerian and dt > default_dt(u0):  # above the floor, within the advective bound
-            xi_cut = (n // 3) * np.pi / grid.half_length
-            assert dt * xi_cut * np.max(np.abs(u0.values)) <= np.pi / 3 + 1e-12
+        if dt > default_dt(u0):  # above the floor, within the slope bound
+            assert dt * slope <= (1e-3 if eulerian else 2e-3) * (1 + 1e-15)
+            if eulerian:  # and within the advective bound
+                xi_cut = (n // 3) * np.pi / grid.half_length
+                assert dt * xi_cut * np.max(np.abs(u0.values)) <= np.pi / 3 + 1e-12
 
     @pytest.mark.parametrize("eulerian", [False, True])
     def test_march_dt_refuses_a_slope_that_is_not_finite(self, eulerian):
@@ -122,14 +130,21 @@ class TestParams:
         with np.errstate(all="ignore"), pytest.raises(FieldError):
             march_dt(u0, eulerian)
 
+    @pytest.mark.parametrize("eulerian", [False, True])
+    def test_march_dt_refuses_a_datum_whose_square_overflows(self, eulerian):
+        # peak and slope are finite, but the first right-hand side's u^2 is not
+        u0 = gaussian_field(make_grid(20, 64), amp=1e200, width=2.0)
+        with pytest.raises(FieldError, match="square"):
+            march_dt(u0, eulerian)
+
 
 @pytest.mark.parametrize("amp", [0.5, 2.0])
 def test_geodesic_dt_time_error_stays_at_the_solve_floor(amp):
     # conserve's datum (amp 0.5) and a steeper one at N = 512, the cheapest
     # grid that resolves both, marched as conserve marches them; the residual
     # at the geodesic march's step stays within 2x that of dt = 1e-3 (measured
-    # 3.6e-13 vs 4.1e-13 and 5.6e-13 vs 5.5e-13), while a step of 1/64 reaches
-    # 2.7e-12 and 1.4e-9
+    # 3.8e-13 vs 4.1e-13 and 8.1e-13 vs 5.5e-13, 0.94x and 1.46x), while a step
+    # of 1/64 reaches 2.7e-12 and 1.4e-9
     u0 = gaussian_field(make_grid(20, 512), amp=amp, width=2.0)
 
     def residual(dt):
@@ -139,6 +154,19 @@ def test_geodesic_dt_time_error_stays_at_the_solve_floor(amp):
         return conservation_residual(traj).max_residual
 
     assert residual(march_dt(u0, eulerian=False)) <= 2.0 * residual(1e-3)
+
+
+@pytest.mark.parametrize("b", [-1.0, 5.0])
+def test_geodesic_step_time_error_budget(b):
+    # conserve's datum at N = 512, at the b whose time error the step moves most:
+    # at the geodesic step (1/128 here) the residual reads 7.2e-13 (b = -1) and
+    # 1.4e-11 (b = 5), far under conserve's 1e-4, while a cap of 1/64 would give
+    # 1.1e-11 and 2.2e-10, so b = 5 catches a step that is too large
+    u0 = gaussian_field(make_grid(20, 512), amp=0.5, width=2.0)
+    config = SolverConfig(dt=march_dt(u0, eulerian=False), T=1.0, snapshot_stride=100)
+    traj = solve_geodesic(u0, BParams(b=b, s=S), config)
+    assert traj.termination == COMPLETED
+    assert conservation_residual(traj).max_residual <= 5e-11
 
 
 @pytest.mark.parametrize("b", [2.0, 5.0])

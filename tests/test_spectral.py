@@ -67,6 +67,12 @@ class TestMakeGrid:
         with pytest.raises(GridError):
             make_grid(0.0, 64)
 
+    @pytest.mark.parametrize("L", [1e308, 1e-308, 5e-324])
+    def test_rejects_an_L_whose_spacing_or_top_wavenumber_is_not_finite_and_positive(self, L):
+        # 2 L overflows; pi (N/2) / L overflows; the spacing underflows to 0
+        with pytest.raises(GridError, match="^half_length"):
+            make_grid(L, 64)
+
 
 class TestDerivative:
     def test_single_mode_exact(self):
