@@ -25,9 +25,9 @@ import numpy as np
 
 from .config import RunConfig, load_config, sweep_cell
 from .diagnostics import conservation_residual
-from .dynamics import COMPLETED, solve_eulerian, solve_geodesic
+from .dynamics import COMPLETED, flow_solver, solve_eulerian, solve_geodesic
 from .errors import BFamilyError, ConfigError, ExpDomainError
-from .experiments import flow_solver, nonuniformity_experiment
+from .experiments import nonuniformity_experiment
 from .io import (
     write_conservation_csv,
     write_diffeo_csv,
@@ -96,13 +96,13 @@ def _inputs(out: Path):
         raise ConfigError(f"cannot create --out: {err}") from err
 
 
-def _setup(cfg: RunConfig, out: Path, geodesic: bool):
-    """Build the datum, params and solver (a flow march's if geodesic), then create --out."""
+def _setup(cfg: RunConfig, out: Path, eulerian: bool):
+    """Build the datum, params and solver (eulerian: for an Eulerian march), then create --out."""
     with _inputs(out):
         grid = cfg.build_grid()
         u0 = cfg.build_field(grid)
         params = cfg.build_params()
-        solver = cfg.build_solver(u0, geodesic)
+        solver = cfg.build_solver(u0, eulerian)
     return u0, params, solver
 
 
@@ -122,7 +122,7 @@ def _termination_code(traj) -> int:
 
 def run_solve(cfg: RunConfig, out: Path, options):
     formulation = options.formulation  # the parser's choices: _FORMULATIONS
-    u0, params, solver = _setup(cfg, out, geodesic=formulation == "lagrangian")
+    u0, params, solver = _setup(cfg, out, eulerian=formulation == "eulerian")
     solve, files = _FORMULATIONS[formulation]
     traj = solve(u0, params, solver)
     fields = {
@@ -135,7 +135,7 @@ def run_solve(cfg: RunConfig, out: Path, options):
 
 
 def run_conserve(cfg: RunConfig, out: Path, options):
-    u0, params, solver = _setup(cfg, out, geodesic=True)
+    u0, params, solver = _setup(cfg, out, eulerian=False)
     traj = solve_geodesic(u0, params, solver)
     report = conservation_residual(traj)
     write_conservation_csv(out / "report.csv", report)

@@ -28,7 +28,7 @@ _COMMON_KEYS = {
     "grid.N": ("int", 1024),
     "params.b": ("float", 2.0),
     "params.s": ("float", 2.0),
-    "solver.dt": ("float", None),  # None -> march_dt (cap 1/256, flow 1/128), capped at T
+    "solver.dt": ("float", None),  # None -> dynamics.march_dt, capped at T
     "solver.T": ("float", 1.0),
     "solver.stride": ("int", 100),
     "solver.norm_cap": ("float", 1e6),
@@ -205,17 +205,17 @@ class RunConfig:
         except FieldError as err:  # values not finite, say a zero width
             raise ConfigError(f"{prefix}.*: {err}") from err
 
-    def build_solver(self, u0: Field, geodesic: bool = False, probe=None) -> SolverConfig:
+    def build_solver(self, u0: Field, eulerian: bool = True, probe=None) -> SolverConfig:
         # every march's datum (u0 + the probe Field in nonuniform's n = 1 legs) needs a
         # peak and slope with finite squares, so march_dt checks it even under solver.dt;
         # a derived dt is march_dt, capped at the horizon (nonuniform marches time-one maps)
         T = 1.0 if self.command == "nonuniform" else self["solver.T"]
         key = "initial"
         try:  # u0 alone first, so that an overflow names its key
-            derived = march_dt(u0, not geodesic)
+            derived = march_dt(u0, eulerian)
             if probe is not None:
                 key = "probe"
-                derived = march_dt(u0 + probe, not geodesic)
+                derived = march_dt(u0 + probe, eulerian)
         except FieldError as err:
             raise ConfigError(
                 f"{key}.*: the datum's peak or slope, or its square, is not finite"

@@ -104,6 +104,7 @@ class Trajectory:
     times: np.ndarray
     states: list
     termination: str
+    end_time: float  # the last step's end: past times[-1] if a stage failed
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -119,25 +120,20 @@ class Trajectory:
 
     @property
     def ending(self) -> str:
-        """'<termination> at t = <time>': every blow-up message quotes it."""
-        return f"{self.termination} at t = {self.times[-1]:.6g}"
+        """'<termination> at t = <end of the last step>': every blow-up message quotes it."""
+        return f"{self.termination} at t = {self.end_time:.6g}"
 
 
-def default_dt(u0: Field) -> float:
-    """min(1e-3, 0.5 h / max|u0|): march_dt's floor, so no derived step is smaller."""
-    peak = float(np.max(np.abs(u0.values)))
-    if peak == 0.0:
-        return 1e-3
-    return min(1e-3, 0.5 * u0.grid.spacing / peak)
+FLOW_DT = 1 / 64  # flow_solver's least step (64 reach T = 1): no advective bound limits a flow
 
 
 def march_dt(u0: Field, eulerian: bool) -> float:
-    """max(default_dt, min(cap, bound / max|u0_x|, 0.5 h / max|u0| if eulerian)).
+    """max(floor, min(cap, bound / max|u0_x|)), then at most adv = 0.5 h / max|u0| if eulerian.
 
     Accuracy limits a step.  The flow is a smooth ODE: (cap, bound) = (1/128, 2e-3)
     keeps conserve's residual within 2x that of dt = 1e-3, or under 1e-10.  The
-    Eulerian field carries advective time error: (1/256, 1e-3), and the advective
-    term keeps its t = 0 RK4 stability number dt xi_cut max|u0| at most pi/3.
+    Eulerian field carries advective time error: (1/256, 1e-3), and adv keeps its t = 0
+    RK4 stability number dt xi_cut max|u0| at most pi/3; the floor is min(1e-3, adv).
     FieldError if the peak or slope, or its square (the first flux), is not finite.
     """
     peak = float(np.max(np.abs(u0.values)))
@@ -145,8 +141,15 @@ def march_dt(u0: Field, eulerian: bool) -> float:
     if not math.isfinite(peak * peak + slope * slope):
         raise FieldError("the square of the datum's peak or slope overflows")
     cap, bound = (1 / 256, 1e-3) if eulerian else (1 / 128, 2e-3)
-    advective = 0.5 * u0.grid.spacing / peak if eulerian and peak else math.inf
-    return max(default_dt(u0), min(cap, bound / slope if slope else math.inf, advective))
+    adv = 0.5 * u0.grid.spacing / peak if peak else math.inf
+    dt = max(min(1e-3, adv), min(cap, bound / slope if slope else math.inf))
+    return min(dt, adv) if eulerian else dt
+
+
+def flow_solver(solver: SolverConfig) -> SolverConfig:
+    """solver for the witness's flows: step max(dt, FLOW_DT) to T = 1, set
+    here too because replace re-checks dt <= T."""
+    return replace(solver, dt=max(solver.dt, FLOW_DT), T=1.0)
 
 
 def _eulerian_rhs(grid: Grid, b: float):
@@ -305,8 +308,8 @@ def _march(params: BParams, config: SolverConfig, first, y: np.ndarray, rhs, sna
     Steps are dt plus at most one trailing partial step to T.  snapshot(y)
     is stored every snapshot_stride steps, at T, and where guard =
     (blown, termination) ends the march after a step with blown(y).  A
-    PositivityError ends it at BLOWUP_PHIX; a SolverError from rhs, or a
-    state that lost finiteness, raises SolverError with the step's end time.
+    PositivityError ends it at BLOWUP_PHIX, a SolverError from rhs or a lost
+    finiteness raises SolverError: either quotes the failing step's end time.
     """
     blown, guard_termination = guard
     times, states, termination = [0.0], [first], COMPLETED
@@ -333,7 +336,7 @@ def _march(params: BParams, config: SolverConfig, first, y: np.ndarray, rhs, sna
                 break
     except PositivityError:
         termination = BLOWUP_PHIX
-    return Trajectory(params, config, np.array(times), states, termination)
+    return Trajectory(params, config, np.array(times), states, termination, t)
 
 
 def solve_eulerian(u0: Field, params: BParams, config: SolverConfig) -> Trajectory:

@@ -5,18 +5,19 @@ exponential map is largest), then build shrinking-support bumps w_n with
 fixed Sobolev norm around that point.  The data pairs x_n = u0 + w_n and
 x_n + v/n converge to each other in H^s while their time-one flows stay
 separated pointwise, which pins the transported bump momenta on disjoint
-intervals.  The flows, an ODE on the diffeomorphism group, step at
-max(solver.dt, FLOW_DT); the Eulerian time-one maps keep solver.dt.
+intervals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import pushforward_reconstruct
-from .dynamics import BParams, SolverConfig, exp_and_differential, exp_map, momentum, time_one_map
+from .dynamics import (
+    BParams, SolverConfig, exp_and_differential, exp_map, flow_solver, momentum, time_one_map
+)
 from .errors import (
     ConfigError, DegenerateProbeError, ExpDomainError, SolverError, UnderResolvedError
 )
@@ -24,7 +25,6 @@ from .spectral import Field, Grid, hs_norm
 
 RESOLUTION_FACTOR = 4  # bump radius must exceed this many grid spacings
 PERSISTENCE_FLOOR = 0.1  # output separation may not fall below this share of its first value
-FLOW_DT = 1 / 64  # accuracy, not the advective bound, limits a flow step; 64 reach T = 1
 
 
 @dataclass(frozen=True)
@@ -103,12 +103,6 @@ def build_bump(
     return (target_norm / hs_norm(raw, s)) * raw
 
 
-def flow_solver(solver: SolverConfig) -> SolverConfig:
-    """solver for the witness's flows: step max(dt, FLOW_DT) to T = 1, set
-    here too because replace re-checks dt <= T."""
-    return replace(solver, dt=max(solver.dt, FLOW_DT), T=1.0)
-
-
 def estimate_probe_geometry(cfg: NonUniformityConfig):
     """Numerical stand-ins for the proof constants.
 
@@ -128,9 +122,8 @@ def estimate_probe_geometry(cfg: NonUniformityConfig):
     return x0_est, m_est, L_est
 
 
-def _resolved_row(payload) -> ExperimentRow:
+def _resolved_row(cfg: NonUniformityConfig, n: int, r_n: float, w_n: Field, i0: int):
     """One resolved n, from its bump w_n: each datum's time-one map, flow and pushforward."""
-    cfg, n, r_n, w_n, i0 = payload
     s = cfg.params.s
     x_n = cfg.u0 + w_n
     xt_n = x_n + (1.0 / n) * cfg.v
@@ -173,22 +166,23 @@ def nonuniformity_experiment(cfg: NonUniformityConfig) -> ExperimentReport:
     x0_est, m_est, L_est = estimate_probe_geometry(cfg)
     i0 = int(np.argmin(np.abs(grid.x - x0_est)))
 
-    rows = {}
-    payloads = []
+    bumps = []  # (n, r_n, w_n or None if under-resolved)
     for n in cfg.n_values:
         r_n = m_est * v_norm / (8.0 * n)
         radius = r_n / L_est
         try:
             w_n = build_bump(x0_est, radius, s, cfg.R / 4.0, grid)
         except UnderResolvedError:
-            nan = float("nan")
-            rows[n] = ExperimentRow(n, r_n, v_norm / n, nan, nan, nan, False, False)
+            w_n = None
         except ValueError as err:
             where = f"x0_est +/- radius = {x0_est:.6g} +/- {radius:.4g}"
             raise ConfigError(f"n = {n}: witness bump support {where} leaves the safe "
                               f"region |x| <= {0.75 * grid.half_length:.6g}") from err
-        else:
-            payloads.append((cfg, n, r_n, w_n, i0))
+        bumps.append((n, r_n, w_n))
 
-    rows.update((row.n, row) for row in map(_resolved_row, payloads))
-    return ExperimentReport([rows[n] for n in cfg.n_values], m_est, x0_est, L_est)
+    rows = [
+        ExperimentRow(n, r_n, v_norm / n, np.nan, np.nan, np.nan, False, False) if w_n is None
+        else _resolved_row(cfg, n, r_n, w_n, i0)
+        for n, r_n, w_n in bumps
+    ]
+    return ExperimentReport(rows, m_est, x0_est, L_est)

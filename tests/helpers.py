@@ -219,7 +219,7 @@ def flow_from_velocity(traj: Trajectory) -> Trajectory:
         disp = disp + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         phi = Diffeomorphism(grid, Field(grid, disp))  # raises on phi_x <= 0
         states.append(SprayState(phi, Field(grid, evaluate_field(u_b, grid.x + disp))))
-    return Trajectory(traj.params, traj.config, traj.times, states, traj.termination)
+    return Trajectory(traj.params, traj.config, traj.times, states, traj.termination, traj.end_time)
 
 
 def central_dexp(

@@ -155,7 +155,7 @@ class TestSolve:
         assert run_cli("solve", *argv) == 2
         run = parse_config(text, "solve")
         u0 = run.build_field(run.build_grid())
-        traj = solve_geodesic(u0, run.build_params(), run.build_solver(u0, geodesic=True))
+        traj = solve_geodesic(u0, run.build_params(), run.build_solver(u0, eulerian=False))
         assert traj.ending == "blowup_phix at t = 0.01"
         assert capsys.readouterr().err == f"blow-up: {traj.ending}\n"
 
@@ -174,7 +174,7 @@ class TestSolve:
             last = read_diffeo_csv(out / manifest["snapshots"][-1]["files"][0])
             run = parse_config(text, "solve")
             u0 = run.build_field(run.build_grid())
-            phi = exp_map(u0, run.build_params(), run.build_solver(u0, geodesic=True))
+            phi = exp_map(u0, run.build_params(), run.build_solver(u0, eulerian=False))
             assert last.displacement.values.tobytes() == phi.displacement.values.tobytes()
 
     def test_lagrangian_snapshots(self, tmp_path):
@@ -291,6 +291,22 @@ class TestConserve:
             "conserve", "--config", str(cfg), "--out", str(out), "--tol", "1e-15"
         )
         assert code == 3
+
+    def test_blowup_inside_a_stage_quotes_its_step_whatever_the_stride(self, tmp_path, capsys):
+        # the flow map degenerates inside a stage of the step (1.14138, 1.14254],
+        # past the last snapshot at either stride (1.04927 at the default 100)
+        text = (
+            FAST_SOLVE.replace("grid.N = 64", "grid.N = 256").replace("solver.dt = 0.01\n", "")
+            .replace("solver.T = 0.1", "solver.T = 3")
+            .replace("initial.amp = 0.3", "initial.amp = 4")
+        )
+        lines = []
+        for stride in (100, 1):
+            strided = text.replace("solver.stride = 5", f"solver.stride = {stride}")
+            cfg = write_config(tmp_path, strided)
+            assert run_cli("conserve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+            lines.append(capsys.readouterr().err)
+        assert lines == ["blow-up: blowup_phix at t = 1.14254\n"] * 2
 
 
 NONUNIFORM_CFG = """

@@ -21,7 +21,6 @@ from bfamily.dynamics import (
     BParams,
     SolverConfig,
     SprayState,
-    default_dt,
     eulerian_from_lagrangian,
     exp_and_differential,
     exp_map,
@@ -37,6 +36,11 @@ S = 2.0
 
 def gaussian_field(grid, amp=0.5, width=2.0, center=0.0):
     return Field(grid, amp * np.exp(-(((grid.x - center) / width) ** 2)))
+
+
+def floor(u0):
+    """march_dt's floor, min(1e-3, 0.5 h / max|u0|), for a nonzero datum."""
+    return min(1e-3, 0.5 * u0.grid.spacing / np.max(np.abs(u0.values)))
 
 
 @pytest.fixture
@@ -76,11 +80,12 @@ class TestParams:
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, T=1.0, snapshot_stride=0)
 
-    def test_default_dt(self):
+    @pytest.mark.parametrize("eulerian", [False, True])
+    def test_march_dt_of_a_steep_datum_is_the_floor(self, eulerian):
+        # the floor min(1e-3, 0.5 h / max|u0|) binds both marches here
         g = make_grid(20, 1024)
-        assert default_dt(Field.zeros(g)) == 1e-3
         spiky = Field(g, 100.0 * np.exp(-(g.x**2)))
-        assert default_dt(spiky) == pytest.approx(0.5 * g.spacing / 100.0)
+        assert march_dt(spiky, eulerian) == pytest.approx(0.5 * g.spacing / 100.0)
 
     @pytest.mark.parametrize("eulerian", [False, True])
     def test_march_dt_of_a_zero_datum_is_the_flow_cap(self, eulerian):
@@ -102,12 +107,12 @@ class TestParams:
                 0.5 * u0.grid.spacing / np.max(np.abs(u0.values)) if eulerian else 1 / 128)),
             # 1e-3 / slope = 5.8e-4 is below the floor, 2e-3 / slope = 1.16e-3 is not
             (1024, 4.0, 0.0, lambda u0, slope, eulerian: (
-                default_dt(u0) if eulerian else 2e-3 / slope)),
-            (1024, 1e19, 0.0, lambda u0, slope, eulerian: default_dt(u0)),
+                floor(u0) if eulerian else 2e-3 / slope)),
+            (1024, 1e19, 0.0, lambda u0, slope, eulerian: floor(u0)),
         ],
         ids=["bench-datum", "amp-2", "offset-10", "amp-4", "amp-1e19"],
     )
-    def test_march_dt_keeps_dt_slope_within_its_bound_and_never_below_default_dt(
+    def test_march_dt_keeps_dt_slope_within_its_bound_and_never_below_the_floor(
         self, n, amp, offset, want, eulerian
     ):
         # dt max|u0_x| <= 1e-3 for an Eulerian march, <= 2e-3 for the flow
@@ -116,8 +121,8 @@ class TestParams:
         slope = np.max(np.abs(derivative(u0, 1).values))
         dt = march_dt(u0, eulerian)
         assert dt == want(u0, slope, eulerian)
-        assert dt >= default_dt(u0)
-        if dt > default_dt(u0):  # above the floor, within the slope bound
+        assert dt >= floor(u0)
+        if dt > floor(u0):  # above the floor, within the slope bound
             assert dt * slope <= (1e-3 if eulerian else 2e-3) * (1 + 1e-15)
             if eulerian:  # and within the advective bound
                 xi_cut = (n // 3) * np.pi / grid.half_length

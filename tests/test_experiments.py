@@ -7,10 +7,9 @@ import pytest
 from helpers import central_dexp, scaling_check
 
 from bfamily import experiments
-from bfamily.dynamics import BParams, SolverConfig, solve_eulerian, time_one_map
+from bfamily.dynamics import FLOW_DT, BParams, SolverConfig, solve_eulerian, time_one_map
 from bfamily.errors import DegenerateProbeError, ExpDomainError, UnderResolvedError
 from bfamily.experiments import (
-    FLOW_DT,
     ExperimentRow,
     NonUniformityConfig,
     build_bump,
@@ -225,7 +224,7 @@ def test_flow_step_time_error_is_far_below_the_witness(monkeypatch):
     cfg = small_experiment_config(n_values=(1,))
     cfg = replace(cfg, solver=replace(cfg.solver, dt=FLOW_DT / 4))
     coarse = nonuniformity_experiment(cfg)
-    monkeypatch.setattr("bfamily.experiments.FLOW_DT", FLOW_DT / 4)
+    monkeypatch.setattr("bfamily.dynamics.FLOW_DT", FLOW_DT / 4)
     fine = nonuniformity_experiment(cfg)
     assert coarse.rows[0].resolved_ok and fine.rows[0].resolved_ok
     assert fine.rows[0].witness_gap == pytest.approx(coarse.rows[0].witness_gap, rel=1e-6)
@@ -283,8 +282,7 @@ def test_build_bump_alone_decides_which_n_run(monkeypatch):
         built[n] = build_bump(center, radius, s, target, grid)
         return built[n]
 
-    def row(payload):
-        _, n, r_n, w_n, _ = payload
+    def row(cfg, n, r_n, w_n, i0):
         assert w_n is built[n]
         return ExperimentRow(n, r_n, 0.0, 0.0, 0.0, 0.0, True, True)
 

@@ -1,7 +1,8 @@
 """Every public function and method of the package has a caller in the package,
 its classes define no special method beyond the protocol it uses, each
 module uses every name it imports, so no module re-exports another's names,
-and every run stays in the one process that started it."""
+every step rule lives in dynamics, and every run stays in the one process
+that started it."""
 
 import ast
 from collections import Counter
@@ -140,3 +141,37 @@ def test_no_module_starts_another_process():
         if module in spawning
     ]
     assert not found, f"modules that can start another process: {found}"
+
+
+def step_rules_outside_dynamics(path: Path) -> list:
+    """Module-level names ending in _DT that a module binds, and its calls of
+    replace(..., dt=...): each sets a march's step."""
+    tree = ast.parse(path.read_text())
+    bound = [
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.endswith("_DT")
+    ]
+    replaced = [
+        f"replace(..., dt=...) at line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "replace"
+        and any(keyword.arg == "dt" for keyword in node.keywords)
+    ]
+    return [f"{path.stem}: {rule}" for rule in bound + replaced]
+
+
+def test_every_step_rule_lives_in_dynamics():
+    # march_dt, FLOW_DT and flow_solver are the one home of every step a march
+    # takes, so a step policy is changed in one module
+    found = [
+        rule
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "dynamics"
+        for rule in step_rules_outside_dynamics(path)
+    ]
+    assert not found, f"step rules outside dynamics: {found}"
+    assert step_rules_outside_dynamics(SRC / "dynamics.py")  # the check sees them there
