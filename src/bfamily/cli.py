@@ -81,11 +81,11 @@ def _write_snapshots(out: Path, traj, files) -> list:
 
 @contextmanager
 def _inputs(out: Path):
-    """Build and check a command's inputs, a ValueError or a grid too large to
-    allocate being a ConfigError; then create --out, cleared of older artifacts."""
+    """Build and check a command's inputs (RunConfig names each refusal's key), an input
+    too large to allocate being a ConfigError; then create --out, cleared of older artifacts."""
     try:
         yield
-    except (ValueError, MemoryError) as err:
+    except MemoryError as err:
         raise ConfigError(str(err)) from err
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -10,16 +10,17 @@ identical effective configurations share a hash regardless of formatting.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 import re
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import BParams, SolverConfig, march_dt
-from .errors import ConfigError, FieldError, GridError
+from .dynamics import BParams, SolverConfig, march_dt, peak_and_slope
+from .errors import ConfigError, GridError
 from .experiments import NonUniformityConfig, build_bump
 from .spectral import Field, Grid, make_grid
 
@@ -35,17 +36,50 @@ _COMMON_KEYS = {
     "solver.min_phix": ("float", 1e-6),
 }
 
-_FAMILY_KEYS = {
-    "gaussian": {"amp": ("float", 1.0), "width": ("float", 2.0), "center": ("float", 0.0)},
-    "bump": {
-        "center": ("float", 0.0),
-        "radius": ("float", 1.0),
-        "s_norm": ("float", 2.0),
-        "target": ("float", 1.0),
-    },
-    "mode": {"k": ("int", 1), "amp": ("float", 1.0)},
-    "file": {"path": ("str", None)},
-}
+# Each initial-data family is its builder, whose parameters after the grid are
+# its keys, annotated with their kinds; a key without a default is required.
+def _gaussian(grid: Grid, amp: float = 1.0, width: float = 2.0, center: float = 0.0):
+    return Field(grid, amp * np.exp(-(((grid.x - center) / width) ** 2)))
+
+
+def _bump(grid: Grid, center: float = 0.0, radius: float = 1.0, s_norm: float = 2.0,
+          target: float = 1.0):
+    return build_bump(center, radius, s_norm, target, grid)
+
+
+def _mode(grid: Grid, k: int = 1, amp: float = 1.0):
+    xi = np.pi * k / grid.half_length
+    return Field(grid, amp * np.sin(xi * grid.x))
+
+
+def _file(grid: Grid, path: str):
+    from .io import read_field_csv
+
+    field = read_field_csv(path)
+    if field.grid != grid:
+        raise ValueError("field grid does not match grid.L/grid.N")
+    return field
+
+
+_FAMILIES = {"gaussian": _gaussian, "bump": _bump, "mode": _mode, "file": _file}
+
+
+def _family_keys(family: str) -> list:
+    """The parameters of family's builder that are config keys: all but the grid."""
+    return list(inspect.signature(_FAMILIES[family]).parameters.values())[1:]
+
+
+@contextmanager
+def _naming(key: str):
+    """The naming rule: a refusal of the values read from key (prefix.* for all of a
+    prefix's keys) is ConfigError '<key>: <reason>'; a ConfigError names its own cause."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, OSError) as err:
+        raise ConfigError(f"{key}: {err}") from err
+
 
 _EXPERIMENT_KEYS = {
     "experiment.R": ("float", 0.4),
@@ -117,12 +151,13 @@ def _schema_for(command: str, pairs) -> dict:
     def add_family(prefix: str):
         schema[f"{prefix}.family"] = ("str", "gaussian")
         family, line = pairs.get(f"{prefix}.family", ("gaussian", 0))
-        if family not in _FAMILY_KEYS:
+        if family not in _FAMILIES:
             raise ConfigError(f"line {line}: unknown initial-data family '{family}'")
-        if family == "file" and f"{prefix}.path" not in pairs:
-            raise ConfigError(f"file family requires '{prefix}.path'")
-        for name, spec in _FAMILY_KEYS[family].items():
-            schema[f"{prefix}.{name}"] = spec
+        for key in _family_keys(family):
+            name, required = f"{prefix}.{key.name}", key.default is key.empty
+            if required and name not in pairs:
+                raise ConfigError(f"{family} family requires '{name}'")
+            schema[name] = (key.annotation, None if required else key.default)
 
     add_family("initial")
     if command == "nonuniform":
@@ -163,89 +198,59 @@ class RunConfig:
         return digest.hexdigest()
 
     def build_grid(self) -> Grid:
+        """The grid; one whose H^s weights (1 + xi^2)^s overflow is refused, as
+        every H^s norm on it, the blow-up guard's among them, would read nan."""
+        L, N, s = self["grid.L"], self["grid.N"], self["params.s"]
         try:
-            return make_grid(self["grid.L"], self["grid.N"])
+            grid = make_grid(L, N)
         except GridError as err:  # Grid's message opens with the parameter at fault
             key = "grid.N" if str(err).startswith("n_points") else "grid.L"
             raise ConfigError(f"{key}: {err}") from err
+        except (ValueError, MemoryError) as err:  # numpy cannot size or allocate it
+            raise ConfigError(f"grid.N: {err}") from err
+        with np.errstate(over="ignore"):
+            if np.isfinite((1.0 + grid.xi[-1] ** 2) ** s):
+                return grid
+        raise ConfigError(f"grid.L: half_length {L:g} gives H^s weights (1 + xi^2)^s "
+                          f"that overflow at n_points {N}, s = {s:g}")
 
     def build_field(self, grid: Grid, prefix: str = "initial") -> Field:
-        try:
-            family = self[f"{prefix}.family"]
-            if family == "gaussian":
-                amp = self[f"{prefix}.amp"]
-                width = self[f"{prefix}.width"]
-                center = self[f"{prefix}.center"]
-                return Field(grid, amp * np.exp(-(((grid.x - center) / width) ** 2)))
-            if family == "bump":
-                return build_bump(
-                    self[f"{prefix}.center"],
-                    self[f"{prefix}.radius"],
-                    self[f"{prefix}.s_norm"],
-                    self[f"{prefix}.target"],
-                    grid,
-                )
-            if family == "mode":
-                k = self[f"{prefix}.k"]
-                xi = np.pi * k / grid.half_length
-                return Field(grid, self[f"{prefix}.amp"] * np.sin(xi * grid.x))
-            if family == "file":
-                from .io import read_field_csv
+        """The datum under prefix.*, checked as every march's datum is (see
+        dynamics.peak_and_slope); a refusal names prefix.*, or the family's one key."""
+        family = self[f"{prefix}.family"]
+        keys = {key.name: self[f"{prefix}.{key.name}"] for key in _family_keys(family)}
+        with _naming(f"{prefix}.{next(iter(keys))}" if len(keys) == 1 else f"{prefix}.*"):
+            field = _FAMILIES[family](grid, **keys)
+            peak_and_slope(field)
+        return field
 
-                try:
-                    field = read_field_csv(self[f"{prefix}.path"])
-                except OSError as err:
-                    raise ConfigError(f"{prefix}.path: {err}") from err
-                if field.grid != grid:
-                    raise ConfigError(
-                        f"{prefix}.path: field grid does not match grid.L/grid.N"
-                    )
-                return field
-            raise ConfigError(f"unknown family '{family}'")
-        except FieldError as err:  # values not finite, say a zero width
-            raise ConfigError(f"{prefix}.*: {err}") from err
-
-    def build_solver(self, u0: Field, eulerian: bool = True, probe=None) -> SolverConfig:
-        # every march's datum (u0 + the probe Field in nonuniform's n = 1 legs) needs a
-        # peak and slope with finite squares, so march_dt checks it even under solver.dt;
-        # a derived dt is march_dt, capped at the horizon (nonuniform marches time-one maps)
+    def build_solver(self, datum: Field, eulerian: bool = True) -> SolverConfig:
+        """The solver of a march from datum; a derived dt is march_dt of datum,
+        capped at the horizon (nonuniform marches time-one maps)."""
         T = 1.0 if self.command == "nonuniform" else self["solver.T"]
-        key = "initial"
-        try:  # u0 alone first, so that an overflow names its key
-            derived = march_dt(u0, eulerian)
-            if probe is not None:
-                key = "probe"
-                derived = march_dt(u0 + probe, eulerian)
-        except FieldError as err:
-            raise ConfigError(
-                f"{key}.*: the datum's peak or slope, or its square, is not finite"
-            ) from err
         dt = self["solver.dt"]
         if dt is None:
-            dt = min(derived, T)
-        return SolverConfig(
-            dt=dt,
-            T=T,
-            snapshot_stride=self["solver.stride"],
-            blowup_norm_cap=self["solver.norm_cap"],
-            min_phix=self["solver.min_phix"],
-        )
+            dt = min(march_dt(datum, eulerian), T)
+        with _naming("solver.*"):
+            return SolverConfig(dt, T, self["solver.stride"], self["solver.norm_cap"],
+                                self["solver.min_phix"])
 
     def build_params(self) -> BParams:
-        return BParams(b=self["params.b"], s=self["params.s"])
+        with _naming("params.s"):
+            return BParams(b=self["params.b"], s=self["params.s"])
 
     def build_experiment(self, grid: Grid) -> NonUniformityConfig:
-        """The nonuniform experiment: base point, probe, params and solver."""
+        """The nonuniform experiment: base point, probe, params and solver; the
+        solver's datum is u0 + v, the Eulerian legs' steepest at n = 1."""
         u0 = self.build_field(grid, "initial")
         v = self.build_field(grid, "probe")
-        return NonUniformityConfig(
-            u0=u0,
-            v=v,
-            params=self.build_params(),
-            R=self["experiment.R"],
-            n_values=self["experiment.n_values"],
-            solver=self.build_solver(u0, probe=v),
-        )
+        with _naming("probe.*"):
+            legs = u0 + v
+            peak_and_slope(legs)
+        params, solver = self.build_params(), self.build_solver(legs)
+        with _naming("experiment.*"):
+            R, n_values = self["experiment.R"], self["experiment.n_values"]
+            return NonUniformityConfig(u0, v, params, R, n_values, solver)
 
 
 def sweep_cell(cfg: RunConfig, b: float, n: int) -> RunConfig:

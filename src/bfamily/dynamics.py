@@ -127,6 +127,16 @@ class Trajectory:
 FLOW_DT = 1 / 64  # flow_solver's least step (64 reach T = 1): no advective bound limits a flow
 
 
+def peak_and_slope(u0: Field) -> tuple:
+    """(max|u0|, max|u0_x|); FieldError if either or its square (the first flux) is not finite."""
+    grid = u0.grid
+    peak = float(np.max(np.abs(u0.values)))
+    slope = float(np.max(np.abs(grid.irfft(grid.d1 * grid.rfft(u0.values)))))  # unchecked D u0
+    if not math.isfinite(peak * peak + slope * slope):
+        raise FieldError("the datum's peak or slope, or its square, is not finite")
+    return peak, slope
+
+
 def march_dt(u0: Field, eulerian: bool) -> float:
     """max(floor, min(cap, bound / max|u0_x|)), then at most adv = 0.5 h / max|u0| if eulerian.
 
@@ -134,12 +144,8 @@ def march_dt(u0: Field, eulerian: bool) -> float:
     keeps conserve's residual within 2x that of dt = 1e-3, or under 1e-10.  The
     Eulerian field carries advective time error: (1/256, 1e-3), and adv keeps its t = 0
     RK4 stability number dt xi_cut max|u0| at most pi/3; the floor is min(1e-3, adv).
-    FieldError if the peak or slope, or its square (the first flux), is not finite.
     """
-    peak = float(np.max(np.abs(u0.values)))
-    slope = float(np.max(np.abs(derivative(u0, 1).values)))  # FieldError if not finite
-    if not math.isfinite(peak * peak + slope * slope):
-        raise FieldError("the square of the datum's peak or slope overflows")
+    peak, slope = peak_and_slope(u0)
     cap, bound = (1 / 256, 1e-3) if eulerian else (1 / 128, 2e-3)
     adv = 0.5 * u0.grid.spacing / peak if peak else math.inf
     dt = max(min(1e-3, adv), min(cap, bound / slope if slope else math.inf))
@@ -324,9 +330,9 @@ def _march(params: BParams, config: SolverConfig, first, y: np.ndarray, rhs, sna
             try:
                 y = _rk4_step(rhs, y, dt)
             except SolverError as err:
-                raise SolverError(f"{err} at t = {t:.6g}", time=t) from err
+                raise SolverError(f"{err} at t = {t:.6g}") from err
             if not np.all(np.isfinite(y)):
-                raise SolverError(f"solution lost finiteness at t = {t:.6g}", time=t)
+                raise SolverError(f"solution lost finiteness at t = {t:.6g}")
             stop = blown(y)
             if stop or last or (k + 1) % config.snapshot_stride == 0:
                 states.append(snapshot(y))

@@ -23,11 +23,7 @@ class InversionError(BFamilyError):
 
 
 class SolverError(BFamilyError):
-    """Time integration aborted (NaN state, unconverged solve); carries the time."""
-
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
+    """Time integration aborted (NaN state, unconverged solve) at the time its message quotes."""
 
 
 class ExpDomainError(BFamilyError):
@@ -40,7 +36,3 @@ class UnderResolvedError(BFamilyError, ValueError):
 
 class ConfigError(BFamilyError, ValueError):
     """Run configuration failed to parse or validate."""
-
-
-class DegenerateProbeError(ConfigError):
-    """Probe direction produced a numerically zero differential."""

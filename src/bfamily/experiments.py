@@ -18,9 +18,7 @@ from .diagnostics import pushforward_reconstruct
 from .dynamics import (
     BParams, SolverConfig, exp_and_differential, exp_map, flow_solver, momentum, time_one_map
 )
-from .errors import (
-    ConfigError, DegenerateProbeError, ExpDomainError, SolverError, UnderResolvedError
-)
+from .errors import ConfigError, ExpDomainError, SolverError, UnderResolvedError
 from .spectral import Field, Grid, hs_norm
 
 RESOLUTION_FACTOR = 4  # bump radius must exceed this many grid spacings
@@ -40,7 +38,7 @@ class NonUniformityConfig:
         if self.u0.grid != self.v.grid:
             raise ValueError("base point and probe live on different grids")
         if hs_norm(self.v, self.params.s) <= 0.0:
-            raise DegenerateProbeError("probe direction must be nonzero")
+            raise ConfigError("probe direction must be nonzero")
         if self.R <= 0.0:
             raise ValueError("R must be positive")
         if any(n < 1 for n in self.n_values):
@@ -114,9 +112,7 @@ def estimate_probe_geometry(cfg: NonUniformityConfig):
     i0 = int(np.argmax(np.abs(d.values)))
     m_est = float(np.abs(d.values[i0])) / hs_norm(cfg.v, cfg.params.s)
     if m_est < 1e-12:
-        raise DegenerateProbeError(
-            "differential of exp vanishes along the probe; change v"
-        )
+        raise ConfigError("differential of exp vanishes along the probe; change v")
     x0_est = float(cfg.u0.grid.x[i0])
     L_est = 1.5 * float(np.max(phi.phi_x))
     return x0_est, m_est, L_est

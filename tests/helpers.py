@@ -166,10 +166,7 @@ def scaling_check(u0: Field, lam: float, params: BParams, config: SolverConfig) 
     )
     for traj, label in ((base, "base"), (scaled, "scaled")):
         if traj.termination != COMPLETED:
-            raise SolverError(
-                f"{label} run terminated with {traj.termination}",
-                time=float(traj.times[-1]),
-            )
+            raise SolverError(f"{label} run terminated with {traj.termination}")
     return hs_norm(scaled.final_state - lam * base.final_state, params.s)
 
 

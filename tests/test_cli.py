@@ -759,6 +759,101 @@ def test_grid_fault_names_grid_L(tmp_path, capsys, command, L):
     assert not out.exists()
 
 
+def _edit(text, *pairs):
+    """text with each (key, value) set: in place where text has the key, else appended."""
+    for key, value in pairs:
+        line = f"{key} = {value}"
+        text, found = re.subn(rf"^{re.escape(key)} = .*$", line, text, flags=re.M)
+        if not found:
+            text = text.rstrip("\n") + f"\n{line}\n"
+    return text
+
+
+def _datum(text, prefix, family, **keys):
+    """text with its prefix.* datum replaced by one of family with those keys."""
+    kept = "".join(line + "\n" for line in text.splitlines() if not line.startswith(prefix + "."))
+    pairs = [(f"{prefix}.{key}", value) for key, value in keys.items()]
+    return _edit(kept, (f"{prefix}.family", family), *pairs)
+
+
+UNDER_RESOLVED = "bump radius 0.5 under-resolved: need > 2.5 at N = 64"
+OUTSIDE = "bump support leaves the safe region"
+NONUNIFORM_64 = _edit(NONUNIFORM_CFG, ("grid.N", 64))
+# Each refusal of a key's value, by the builder that reads the key, is one
+# line that opens with the key it names: a datum's prefix.*, params.s,
+# solver.*, experiment.*, grid.N, or grid.L for a grid whose H^s weights
+# (1 + xi^2)^s overflow (every H^s norm on it would read nan, so the
+# blow-up guard could never fire). Each entry is (command, config, the line
+# after "config error: " as a regular expression).
+NAMED_FAULTS = {
+    "params-s": ("solve", _edit(FAST_SOLVE, ("params.s", 1.2)),
+                 re.escape("params.s: Sobolev index must satisfy s > 3/2, got 1.2")),
+    "solver-stride": ("solve", _edit(FAST_SOLVE, ("solver.stride", 0)),
+                      re.escape("solver.*: snapshot_stride must be >= 1")),
+    "solver-norm-cap": ("conserve", _edit(FAST_SOLVE, ("solver.norm_cap", -1)),
+                        re.escape("solver.*: blow-up guards must be positive")),
+    "solver-min-phix": ("solve", _edit(FAST_SOLVE, ("solver.min_phix", 0)),
+                        re.escape("solver.*: blow-up guards must be positive")),
+    "experiment-R": ("nonuniform", _edit(NONUNIFORM_CFG, ("experiment.R", -1)),
+                     re.escape("experiment.*: R must be positive")),
+    "experiment-n-values": ("nonuniform", _edit(NONUNIFORM_CFG, ("experiment.n_values", "0,1")),
+                            re.escape("experiment.*: n_values must be >= 1")),
+    "bump-under-resolved-initial-solve": (
+        "solve", _datum(FAST_SOLVE, "initial", "bump", center=0, radius=0.5),
+        re.escape(f"initial.*: {UNDER_RESOLVED}")),
+    "bump-under-resolved-initial-nonuniform": (
+        "nonuniform", _datum(NONUNIFORM_64, "initial", "bump", center=0, radius=0.5),
+        re.escape(f"initial.*: {UNDER_RESOLVED}")),
+    "bump-under-resolved-probe-nonuniform": (
+        "nonuniform", _datum(NONUNIFORM_64, "probe", "bump", center=0, radius=0.5),
+        re.escape(f"probe.*: {UNDER_RESOLVED}")),
+    "bump-outside-initial-solve": (
+        "solve",
+        _datum(_edit(FAST_SOLVE, ("grid.N", 1024)), "initial", "bump", center=14.8, radius=1),
+        re.escape(f"initial.*: {OUTSIDE}")),
+    "bump-outside-initial-nonuniform": (
+        "nonuniform", _datum(NONUNIFORM_CFG, "initial", "bump", center=14.8, radius=1),
+        re.escape(f"initial.*: {OUTSIDE}")),
+    "bump-outside-probe-nonuniform": (
+        "nonuniform", _datum(NONUNIFORM_CFG, "probe", "bump", center=14.8, radius=1),
+        re.escape(f"probe.*: {OUTSIDE}")),
+    # numpy refuses to size the wavenumbers; the reason is numpy's own text
+    "grid-N-too-big": ("solve", _edit(FAST_SOLVE, ("grid.N", 2**62)), r"grid\.N: .+"),
+    "grid-L-weights-solve": (
+        "solve", _edit(FAST_SOLVE, ("grid.L", 1e-100), ("solver.norm_cap", 1e-300)),
+        re.escape("grid.L: half_length 1e-100 gives H^s weights (1 + xi^2)^s "
+                  "that overflow at n_points 64, s = 2")),
+    "grid-L-weights-nonuniform": (
+        "nonuniform", _edit(NONUNIFORM_CFG, ("grid.L", 1e-100)),
+        re.escape("grid.L: half_length 1e-100 gives H^s weights (1 + xi^2)^s "
+                  "that overflow at n_points 512, s = 2")),
+    # this mode datum's momentum u - u_xx overflows at once
+    "grid-L-weights-mode": (
+        "solve",
+        _datum(_edit(FAST_SOLVE, ("grid.L", 3.14e-160)), "initial", "mode", k=1, amp=1e-10),
+        re.escape("grid.L: half_length 3.14e-160 gives H^s weights (1 + xi^2)^s "
+                  "that overflow at n_points 64, s = 2")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_FAULTS))
+def test_refused_value_exits_one_naming_its_key(tmp_path, capsys, case):
+    command, text, line = NAMED_FAULTS[case]
+    cfg, out = write_config(tmp_path, text), tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"config error: {line}\n", err), err
+    assert not out.exists()
+
+
+def test_grid_whose_weights_fit_keeps_its_blow_up_guard(tmp_path, capsys):
+    # at grid.L = 1e-60 the H^2 weights are finite, so the norm guard fires
+    text = _edit(FAST_SOLVE, ("grid.L", 1e-60), ("solver.norm_cap", 1e-300))
+    cfg, out = write_config(tmp_path, text), tmp_path / "out"
+    assert run_cli("solve", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "blow-up: blowup_norm at t = 0.01\n"
+
+
 def _bump(center, radius, n):
     kept = [
         line
@@ -808,7 +903,7 @@ BAD_INPUTS = {
         SWEEP_CFG.replace("sweep.command = solve", "sweep.command = bogus"),
     ),
     "sweep-without-command": ("sweep", SWEEP_CFG.replace("sweep.command = solve\n", "")),
-    # DegenerateProbeError is a ConfigError, so it exits 1 like any other
+    # a zero probe direction is a ConfigError, so it exits 1 like any other
     "probe-amp-zero": (
         "nonuniform",
         NONUNIFORM_CFG.replace("probe.amp = 4.5", "probe.amp = 0"),

@@ -332,10 +332,9 @@ class TestSolveEulerian:
     def test_nan_aborts_with_time(self):
         g = make_grid(20, 128)
         u0 = Field(g, 1e200 * np.exp(-(g.x**2)))
-        with pytest.raises(SolverError) as err:
+        with pytest.raises(SolverError, match=r"^solution lost finiteness at t = 0\.\d+$"):
             with np.errstate(all="ignore"):
                 solve_eulerian(u0, BParams(b=2.0, s=S), SolverConfig(dt=0.01, T=0.1))
-        assert err.value.time is not None
 
 
 @pytest.mark.parametrize("solve", [solve_eulerian, solve_geodesic])
@@ -541,11 +540,10 @@ class TestSolveGeodesic:
     def test_unconverged_christoffel_solve_raises_with_time(self, monkeypatch):
         monkeypatch.setattr("bfamily.dynamics.CHRISTOFFEL_RTOL", 0.0)
         g = make_grid(20, 64)
-        with pytest.raises(SolverError, match="did not converge") as err:
+        with pytest.raises(SolverError, match=r"did not converge .* at t = 0\.01$"):
             solve_geodesic(
                 gaussian_field(g), BParams(b=2.0, s=S), SolverConfig(dt=0.01, T=0.1)
             )
-        assert err.value.time == pytest.approx(0.01)
 
     def test_wave_breaking_ends_at_phix_guard(self):
         # the steepening amp-4 Gaussian drives min phi_x towards 0; the solve

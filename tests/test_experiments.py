@@ -8,7 +8,7 @@ from helpers import central_dexp, scaling_check
 
 from bfamily import experiments
 from bfamily.dynamics import FLOW_DT, BParams, SolverConfig, solve_eulerian, time_one_map
-from bfamily.errors import DegenerateProbeError, ExpDomainError, UnderResolvedError
+from bfamily.errors import ConfigError, ExpDomainError, UnderResolvedError
 from bfamily.experiments import (
     ExperimentRow,
     NonUniformityConfig,
@@ -82,7 +82,7 @@ class TestEstimateProbeGeometry:
 
     def test_degenerate_probe_rejected_at_construction(self):
         g = make_grid(20, 256)
-        with pytest.raises(DegenerateProbeError):
+        with pytest.raises(ConfigError, match="probe direction must be nonzero"):
             NonUniformityConfig(
                 u0=Field.zeros(g), v=Field.zeros(g), params=BParams(b=2.0, s=S),
                 R=0.2, n_values=(1,), solver=SolverConfig(dt=5e-3, T=1.0),

@@ -1,8 +1,8 @@
 """Every public function and method of the package has a caller in the package,
 its classes define no special method beyond the protocol it uses, each
 module uses every name it imports, so no module re-exports another's names,
-every step rule lives in dynamics, and every run stays in the one process
-that started it."""
+every step rule lives in dynamics, every run stays in the one process
+that started it, and every error class is one that some caller catches."""
 
 import ast
 from collections import Counter
@@ -175,3 +175,27 @@ def test_every_step_rule_lives_in_dynamics():
     ]
     assert not found, f"step rules outside dynamics: {found}"
     assert step_rules_outside_dynamics(SRC / "dynamics.py")  # the check sees them there
+
+
+# invert's failure, which no caller recovers from: it ends the run as `run failed:`
+UNCAUGHT = {"InversionError"}
+
+
+def caught_names(tree) -> set:
+    """Names that the except clauses of a module name."""
+    return {
+        name
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for name in referenced_names(handler.type)
+    }
+
+
+def test_every_error_class_is_caught_somewhere_in_src():
+    # an error class no except names adds a type and tells no caller anything
+    declared = {
+        node.name for node in ast.parse((SRC / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    caught = set().union(*map(caught_names, source_trees()))
+    assert declared - caught == UNCAUGHT, f"uncaught: {sorted(declared - caught)}"
