@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import shutil
 import sys
@@ -41,7 +40,7 @@ EXIT_CONFIG = 1
 EXIT_BLOWUP = 2
 EXIT_ACCEPTANCE = 3
 
-CONSERVE_TOL = 1e-4  # default momentum-transport tolerance of conserve and sweep
+CONSERVE_TOL = 1e-4  # acceptance criterion 01's pinned bound on conserve's max_residual
 
 DESCRIPTION = """\
 Solve the Holm-Staley b-family on a periodic cell, in Eulerian form or as a
@@ -139,10 +138,10 @@ def run_conserve(cfg: RunConfig, out: Path, options):
     traj = solve_geodesic(u0, params, solver)
     report = conservation_residual(traj)
     write_conservation_csv(out / "report.csv", report)
-    ok = traj.termination == COMPLETED and report.max_residual <= options.tol
+    ok = traj.termination == COMPLETED and report.max_residual <= CONSERVE_TOL
     fields = {
         "termination": traj.termination,
-        "tol": options.tol,
+        "tol": CONSERVE_TOL,
         "max_residual": report.max_residual,
         "passed": ok,
     }
@@ -250,17 +249,9 @@ def run_sweep(cfg: RunConfig, out: Path, options) -> int:
     return max((row["exit_code"] for row in index), default=EXIT_OK)
 
 
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got '{text}'")
-    return value
-
-
 # each flag once: its name -> its add_argument keywords
 _FLAGS = {
     "formulation": {"choices": tuple(_FORMULATIONS), "default": "eulerian"},
-    "tol": {"type": _tolerance, "default": CONSERVE_TOL},
 }
 
 # Each command: its runner, its --help line and its flags, in --help order.
@@ -269,9 +260,9 @@ _FLAGS = {
 # writes no manifest, returns (exit code, params, solver, manifest fields) to _run.
 _COMMANDS = {
     "solve": (run_solve, "run one trajectory", ("formulation",)),
-    "conserve": (run_conserve, "momentum-transport residual check", ("tol",)),
+    "conserve": (run_conserve, "momentum-transport residual check", ()),
     "nonuniform": (run_nonuniform, "shrinking-bump separation experiment", ()),
-    "sweep": (run_sweep, "cartesian parameter sweep", ("formulation", "tol")),
+    "sweep": (run_sweep, "cartesian parameter sweep", ("formulation",)),
 }
 
 

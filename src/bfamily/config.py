@@ -32,8 +32,8 @@ _COMMON_KEYS = {
     "solver.dt": ("float", None),  # None -> dynamics.march_dt, capped at T
     "solver.T": ("float", 1.0),
     "solver.stride": ("int", 100),
-    "solver.norm_cap": ("float", 1e6),
-    "solver.min_phix": ("float", 1e-6),
+    "solver.norm_cap": ("float", SolverConfig.blowup_norm_cap),
+    "solver.min_phix": ("float", SolverConfig.min_phix),
 }
 
 # Each initial-data family is its builder, whose parameters after the grid are

@@ -38,7 +38,7 @@ class NonUniformityConfig:
         if self.u0.grid != self.v.grid:
             raise ValueError("base point and probe live on different grids")
         if hs_norm(self.v, self.params.s) <= 0.0:
-            raise ConfigError("probe direction must be nonzero")
+            raise ConfigError("probe.*: probe direction must be nonzero")
         if self.R <= 0.0:
             raise ValueError("R must be positive")
         if any(n < 1 for n in self.n_values):
@@ -53,7 +53,6 @@ class ExperimentRow:
     output_dist: float
     momentum_output_dist: float
     witness_gap: float
-    disjoint_ok: bool
     resolved_ok: bool
 
 
@@ -112,7 +111,7 @@ def estimate_probe_geometry(cfg: NonUniformityConfig):
     i0 = int(np.argmax(np.abs(d.values)))
     m_est = float(np.abs(d.values[i0])) / hs_norm(cfg.v, cfg.params.s)
     if m_est < 1e-12:
-        raise ConfigError("differential of exp vanishes along the probe; change v")
+        raise ConfigError("probe.*: differential of exp vanishes along the probe; change v")
     x0_est = float(cfg.u0.grid.x[i0])
     L_est = 1.5 * float(np.max(phi.phi_x))
     return x0_est, m_est, L_est
@@ -143,7 +142,6 @@ def _resolved_row(cfg: NonUniformityConfig, n: int, r_n: float, w_n: Field, i0: 
         output_dist=hs_norm(u_final - ut_final, s),
         momentum_output_dist=hs_norm(p_plain - p_pert, s - 2),
         witness_gap=witness_gap,
-        disjoint_ok=bool(r_n <= witness_gap / 4.0),
         resolved_ok=True,
     )
 
@@ -177,7 +175,7 @@ def nonuniformity_experiment(cfg: NonUniformityConfig) -> ExperimentReport:
         bumps.append((n, r_n, w_n))
 
     rows = [
-        ExperimentRow(n, r_n, v_norm / n, np.nan, np.nan, np.nan, False, False) if w_n is None
+        ExperimentRow(n, r_n, v_norm / n, np.nan, np.nan, np.nan, False) if w_n is None
         else _resolved_row(cfg, n, r_n, w_n, i0)
         for n, r_n, w_n in bumps
     ]

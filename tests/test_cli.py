@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line interface and its artifacts."""
 
-import argparse
 import hashlib
 import json
 import os
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 from helpers import FAST_SOLVE, check_golden, read_diffeo_csv, tree_digest
 
-from bfamily.cli import build_parser, main
+from bfamily.cli import _COMMANDS, _FLAGS, main
 from bfamily.config import parse_config
 from bfamily.dynamics import exp_map, march_dt, solve_geodesic
 from bfamily.errors import ConfigError
@@ -279,18 +278,14 @@ class TestConserve:
             "0.33333333333333331,nan,2,1\n"
         )
 
-    def test_tight_tolerance_fails_exit_three(self, tmp_path):
-        text = FAST_SOLVE.replace("grid.N = 64", "grid.N = 256").replace(
-            "solver.dt = 0.01", "solver.dt = 0.1"
-        ).replace("solver.T = 0.1", "solver.T = 0.2").replace(
-            "solver.stride = 5", "solver.stride = 1"
-        )
-        cfg = write_config(tmp_path, text)
+    def test_residual_above_the_pinned_tolerance_exits_three(self, tmp_path):
+        # at b = 0 this datum's residual is about 3.9e-4, above CONSERVE_TOL
+        cfg = write_config(tmp_path, FAST_SOLVE.replace("params.b = 2", "params.b = 0"))
         out = tmp_path / "out"
-        code = run_cli(
-            "conserve", "--config", str(cfg), "--out", str(out), "--tol", "1e-15"
-        )
-        assert code == 3
+        assert run_cli("conserve", "--config", str(cfg), "--out", str(out)) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["tol"] == 1e-4 < manifest["max_residual"]
+        assert manifest["passed"] is False and manifest["termination"] == "completed"
 
     def test_blowup_inside_a_stage_quotes_its_step_whatever_the_stride(self, tmp_path, capsys):
         # the flow map degenerates inside a stage of the step (1.14138, 1.14254],
@@ -349,21 +344,21 @@ class TestNonuniform:
 
         nan = float("nan")
         rows = [
-            ExperimentRow(1, 0.5, 0.25, 0.1, 0.2, 0.3, True, True),
-            ExperimentRow(16, 0.03125, 0.015625, nan, nan, nan, False, False),
+            ExperimentRow(1, 0.5, 0.25, 0.1, 0.2, 0.3, True),
+            ExperimentRow(16, 0.03125, 0.015625, nan, nan, nan, False),
         ]
         path, again = tmp_path / "report.csv", tmp_path / "again.csv"
         write_experiment_csv(path, ExperimentReport(rows, 1.0, 0.0, 1.0))
         header, first, second = path.read_text().splitlines()
         assert header == (
             "n,r_n,input_dist,output_dist,momentum_output_dist,"
-            "witness_gap,disjoint_ok,resolved_ok"
+            "witness_gap,resolved_ok"
         )
         assert first == (
             "1,0.5,0.25,0.10000000000000001,0.20000000000000001,"
-            "0.29999999999999999,true,true"
+            "0.29999999999999999,true"
         )
-        assert second == "16,0.03125,0.015625,nan,nan,nan,false,false"
+        assert second == "16,0.03125,0.015625,nan,nan,nan,false"
         write_experiment_csv(again, ExperimentReport(read_experiment_rows(path), 1, 0, 1))
         assert again.read_bytes() == path.read_bytes()
         for bad in (first.replace("true", "yes", 1), first.rsplit(",", 1)[0], "x" + first):
@@ -492,11 +487,12 @@ class TestSweep:
     def test_resume_reports_the_recorded_exit_codes(self, tmp_path):
         text = FAST_SOLVE.replace("params.b = 2", "sweep.b = 0,2")
         cfg = write_config(tmp_path, text + "sweep.command = conserve\n")
-        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--tol", "0"]
+        # the b = 0 cell's residual is above CONSERVE_TOL, the b = 2 cell's below
+        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]
         assert run_cli(*argv) == 3
         assert run_cli(*argv) == 3  # every cell is skipped now
         index = json.loads((tmp_path / "o" / "index.json").read_text())
-        assert [(c["skipped"], c["exit_code"]) for c in index["cells"]] == [(True, 3)] * 2
+        assert [(c["skipped"], c["exit_code"]) for c in index["cells"]] == [(True, 3), (True, 0)]
         # a cut-short manifest, or one without an exit code, runs its cell again
         (tmp_path / "o" / "b0_N64" / "manifest.json").write_text('{"command": "con')
         older = tmp_path / "o" / "b2_N64" / "manifest.json"
@@ -505,16 +501,16 @@ class TestSweep:
         older.write_text(json.dumps(manifest))
         assert run_cli(*argv) == 3
         index = json.loads((tmp_path / "o" / "index.json").read_text())
-        assert [(c["skipped"], c["exit_code"]) for c in index["cells"]] == [(False, 3)] * 2
-        assert json.loads(older.read_text())["exit_code"] == 3
+        assert [(c["skipped"], c["exit_code"]) for c in index["cells"]] == [(False, 3), (False, 0)]
+        assert json.loads(older.read_text())["exit_code"] == 0
 
-    def test_resume_reruns_cells_of_another_config_or_tol(self, tmp_path):
+    def test_resume_reruns_cells_of_another_config(self, tmp_path):
         text = FAST_SOLVE.replace("params.b = 2", "sweep.b = 0,2") + "sweep.command = conserve\n"
         out = tmp_path / "o"
 
-        def skipped(text, tol="1"):
+        def skipped(text):
             argv = ["--config", str(write_config(tmp_path, text)), "--out", str(out)]
-            assert run_cli("sweep", *argv, "--tol", tol) == 0
+            assert run_cli("sweep", *argv) == 3  # the b = 0 cell misses CONSERVE_TOL
             return [c["skipped"] for c in json.loads((out / "index.json").read_text())["cells"]]
 
         assert skipped(text.replace("solver.T = 0.1", "solver.T = 0.05")) == [False, False]
@@ -522,8 +518,6 @@ class TestSweep:
         manifest = json.loads((out / "b0_N64" / "manifest.json").read_text())
         assert manifest["solver"]["T"] == 0.1
         assert skipped(text) == [True, True]
-        assert skipped(text, tol="0.5") == [False, False]
-        assert json.loads((out / "b0_N64" / "manifest.json").read_text())["tol"] == 0.5
 
     def test_resume_clears_a_cell_run_with_another_formulation(self, tmp_path):
         sweep_cfg = write_config(tmp_path, FAST_SOLVE + "sweep.command = solve\n", "s.cfg")
@@ -798,6 +792,8 @@ NAMED_FAULTS = {
                      re.escape("experiment.*: R must be positive")),
     "experiment-n-values": ("nonuniform", _edit(NONUNIFORM_CFG, ("experiment.n_values", "0,1")),
                             re.escape("experiment.*: n_values must be >= 1")),
+    "probe-zero": ("nonuniform", _edit(NONUNIFORM_64, ("probe.amp", 0)),
+                   re.escape("probe.*: probe direction must be nonzero")),
     "bump-under-resolved-initial-solve": (
         "solve", _datum(FAST_SOLVE, "initial", "bump", center=0, radius=0.5),
         re.escape(f"initial.*: {UNDER_RESOLVED}")),
@@ -846,6 +842,24 @@ def test_refused_value_exits_one_naming_its_key(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def test_vanishing_differential_names_the_probe(tmp_path, capsys, monkeypatch):
+    # found by the probe geometry's march, once --out exists: no manifest
+    import bfamily.experiments
+
+    real = bfamily.experiments.exp_and_differential
+
+    def vanishing(*args):
+        phi, d = real(*args)
+        return phi, 0.0 * d
+
+    monkeypatch.setattr(bfamily.experiments, "exp_and_differential", vanishing)
+    cfg, out = write_config(tmp_path, NONUNIFORM_64), tmp_path / "out"
+    assert run_cli("nonuniform", "--config", str(cfg), "--out", str(out)) == 1
+    line = "probe.*: differential of exp vanishes along the probe; change v"
+    assert capsys.readouterr().err == f"config error: {line}\n"
+    assert out.is_dir() and not any(out.iterdir())
+
+
 def test_grid_whose_weights_fit_keeps_its_blow_up_guard(tmp_path, capsys):
     # at grid.L = 1e-60 the H^2 weights are finite, so the norm guard fires
     text = _edit(FAST_SOLVE, ("grid.L", 1e-60), ("solver.norm_cap", 1e-300))
@@ -891,9 +905,6 @@ BAD_INPUTS = {
         "sweep",
         SWEEP_CFG.replace("sweep.b = 0,2,3", "sweep.b = 1.0000001,1.0000002"),
     ),
-    # command-line flags after the config text
-    "conserve-tol-nan": ("conserve", FAST_SOLVE, "--tol", "nan"),
-    "conserve-tol-negative": ("conserve", FAST_SOLVE, "--tol", "-1"),
     "sweep-wraps-sweep": (
         "sweep",
         SWEEP_CFG.replace("sweep.command = solve", "sweep.command = sweep"),
@@ -908,6 +919,7 @@ BAD_INPUTS = {
         "nonuniform",
         NONUNIFORM_CFG.replace("probe.amp = 4.5", "probe.amp = 0"),
     ),
+    # command-line flags after the config text
     "sweep-jobs-removed": ("sweep", SWEEP_CFG, "--jobs", "2"),
     "nonuniform-jobs-removed": ("nonuniform", NONUNIFORM_CFG, "--jobs", "2"),
     "scalecheck-removed": ("scalecheck", FAST_SOLVE),
@@ -962,6 +974,17 @@ BAD_INPUTS = {
 def test_bad_input_is_config_error_without_output(tmp_path, case):
     command, text, *flags = BAD_INPUTS[case]
     assert_config_error_without_output(tmp_path, command, text, *flags)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("conserve", FAST_SOLVE), ("sweep", FAST_SOLVE + "sweep.command = conserve\n"),
+], ids=["conserve", "sweep"])
+def test_tol_is_an_unrecognized_argument(tmp_path, capsys, command, text):
+    # conserve and its sweep cells check the pinned CONSERVE_TOL; no flag moves it
+    cfg, out = write_config(tmp_path, text), tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out), "--tol", "1e-4") == 1
+    assert capsys.readouterr().err == "config error: unrecognized arguments: --tol 1e-4\n"
+    assert not out.exists()
 
 
 def test_header_only_field_csv_is_config_error(tmp_path):
@@ -1163,26 +1186,20 @@ def test_help_states_the_exit_codes_without_developer_notes():
     assert "_run" not in proc.stdout
 
 
-def test_readme_usage_lists_exactly_the_subcommands():
-    # each usage line: the subcommand, then its optional flags in brackets
+def test_readme_names_each_commands_flags_and_no_other():
+    # the synopsis lists the commands of cli._COMMANDS in order, each with
+    # exactly its declared flags in brackets; nowhere else in the section
+    # may a flag appear that no command declares, so a removed one cannot linger
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    usage = re.search(r"## Command line\n.*?```\n(.*?)```", readme, re.S).group(1)
+    section = re.search(r"\n## Command line\n(.*?)\n## ", readme, re.S).group(1)
+    usage = re.search(r"```\n(.*?)```", section, re.S).group(1)
     listed = {
-        line.split()[1]: re.findall(r"\[(--[\w-]+)", line)
+        line.split()[1]: tuple(re.findall(r"\[--([\w-]+)", line))
         for line in usage.splitlines()
         if line.startswith("bfamily ")
     }
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    declared = {
-        name: [
-            a.option_strings[0]
-            for a in parser._actions
-            if not a.required and a.option_strings[0] != "-h"
-        ]
-        for name, parser in sub.choices.items()
-    }
-    assert list(listed) == list(declared)
-    assert listed == declared
+    assert list(listed.items()) == [(name, flags) for name, (_, _, flags) in _COMMANDS.items()]
+    assert set(re.findall(r"--([a-z][\w-]*)", section)) == {"config", "out", *_FLAGS}
 
 
 def test_config_does_not_import_io():

@@ -292,6 +292,18 @@ class TestSolveEulerian:
         assert traj.termination == BLOWUP_NORM
         assert len(traj.times) == 2  # t=0 plus the offending step
 
+    def test_norm_cap_guard_reads_the_hs_norm(self):
+        # L^2 norm 0.237 under the cap, H^2 norm 1.79 over it: a guard on
+        # any norm below H^s would let this march complete
+        g = make_grid(20, 128)
+        u0 = gaussian_field(g, amp=0.3, width=0.5)
+        cap = 0.65
+        assert hs_norm(u0, 0.0) < cap < hs_norm(u0, S)
+        traj = solve_eulerian(
+            u0, BParams(b=2.0, s=S), SolverConfig(dt=0.01, T=1.0, blowup_norm_cap=cap)
+        )
+        assert traj.ending == "blowup_norm at t = 0.01"
+
     @pytest.mark.parametrize("b", [0.0, 2.0, 3.0])
     def test_matches_sample_space_rk4(self, b):
         # the half-spectrum march against RK4 on samples of the public RHS
