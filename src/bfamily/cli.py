@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config, sweep_cell
+from .config import RunConfig, load_config, sweep_cells
 from .diagnostics import conservation_residual
 from .dynamics import COMPLETED, flow_solver, solve_eulerian, solve_geodesic
 from .errors import BFamilyError, ConfigError, ExpDomainError
@@ -210,22 +210,13 @@ def run_sweep(cfg: RunConfig, out: Path, options) -> int:
         runnable = sorted(name for name in _COMMANDS if name != "sweep")
         if wrapped not in runnable:
             raise ConfigError(f"sweep.command must be one of {runnable}")
-        b_values = cfg["sweep.b"] or (cfg["params.b"],)
-        n_values = cfg["sweep.N"] or (cfg["grid.N"],)
-        cells = [
-            (f"b{b:g}_N{n}", b, n, sweep_cell(cfg, b, n))
-            for b in b_values
-            for n in n_values
-        ]
-        names = [cell[0] for cell in cells]
-        if clash := [name for i, name in enumerate(names) if name in names[:i]]:
-            raise ConfigError(f"two sweep.b values share the cell name '{clash[0]}'")
+        cells = sweep_cells(cfg)
 
     # a cell is skipped, and reports the exit code its manifest records, only
     # when that manifest records this cell's config hash and this run's value
     # of every flag it records; any other cell is cleared and runs again
     done = {}
-    for name, _, _, cell in cells:
+    for name, cell in cells:
         with suppress(FileNotFoundError, ValueError, KeyError):
             manifest = json.loads((out / name / "manifest.json").read_text())
             if manifest["config_hash"] == cell.config_hash() and all(
@@ -233,14 +224,14 @@ def run_sweep(cfg: RunConfig, out: Path, options) -> int:
             ):
                 done[name] = manifest["exit_code"]
     codes = dict(done)
-    for name, _, _, cell in cells:
+    for name, cell in cells:
         if name not in done:
             shutil.rmtree(out / name, ignore_errors=True)
             codes[name] = _exit_code(_run, cell, out / name, options)
     index = [
-        {"cell": name, "b": float(b), "N": int(n), "skipped": name in done,
+        {"cell": name, "b": cell["params.b"], "N": cell["grid.N"], "skipped": name in done,
          "exit_code": codes[name]}
-        for name, b, n, _ in sorted(cells, key=lambda cell: cell[0])
+        for name, cell in sorted(cells)
     ]
     write_json(
         out / "index.json",

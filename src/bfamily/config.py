@@ -253,16 +253,24 @@ class RunConfig:
             return NonUniformityConfig(u0, v, params, R, n_values, solver)
 
 
-def sweep_cell(cfg: RunConfig, b: float, n: int) -> RunConfig:
-    """The config of the command a sweep wraps, at params.b = b and grid.N = n.
+def sweep_cells(cfg: RunConfig) -> list:
+    """(name, config) of each cell of a sweep, in order: the command it wraps at
+    each params.b of sweep.b and each grid.N of sweep.N (cfg's own value where a
+    list is unset), named b<b>_N<N>; two cells may not share a name.
 
-    A sweep's schema is the wrapped command's plus the sweep.* keys, so the
-    cell keeps every other value of cfg, defaults included.
+    A sweep's schema is the wrapped command's plus the sweep.* keys, so a cell
+    keeps every other value of cfg, defaults included.
     """
-    values = {k: v for k, v in cfg.values.items() if k not in _SWEEP_KEYS}
-    values["params.b"] = float(b)
-    values["grid.N"] = int(n)
-    return RunConfig(cfg["sweep.command"], values)
+    kept = {k: v for k, v in cfg.values.items() if k not in _SWEEP_KEYS}
+    cells = {}
+    for b in cfg["sweep.b"] or (cfg["params.b"],):
+        for n in cfg["sweep.N"] or (cfg["grid.N"],):
+            name = f"b{b:g}_N{n}"
+            if name in cells:
+                raise ConfigError(f"two sweep.b values share the cell name '{name}'")
+            values = {**kept, "params.b": float(b), "grid.N": int(n)}
+            cells[name] = RunConfig(cfg["sweep.command"], values)
+    return list(cells.items())
 
 
 def load_config(path, command: str) -> RunConfig:

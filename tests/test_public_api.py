@@ -2,7 +2,8 @@
 its classes define no special method beyond the protocol it uses, each
 module uses every name it imports, so no module re-exports another's names,
 every step rule lives in dynamics, every run stays in the one process
-that started it, and every error class is one that some caller catches."""
+that started it (and every test but three, which need a fresh interpreter),
+and every error class is one that some caller catches."""
 
 import ast
 from collections import Counter
@@ -131,16 +132,39 @@ def imported_modules(tree) -> list:
     return modules
 
 
+SPAWNING = {"concurrent", "multiprocessing", "subprocess"}
+
+
 def test_no_module_starts_another_process():
     # a run marches in the process that started it: no pool, no child process
-    spawning = {"concurrent", "multiprocessing", "subprocess"}
     found = [
         f"{path.stem} imports {module}"
         for path in sorted(SRC.glob("*.py"))
         for module in imported_modules(ast.parse(path.read_text()))
-        if module in spawning
+        if module in SPAWNING
     ]
     assert not found, f"modules that can start another process: {found}"
+
+
+# the tests worth a fresh interpreter's start-up: the `python -m bfamily.cli`
+# path, --help, and an import check that needs a clean sys.modules
+FRESH = {
+    "test_cli.test_main_module_keeps_the_exit_line_protocol",
+    "test_cli.test_help_states_the_exit_codes_without_developer_notes",
+    "test_cli.test_config_does_not_import_io",
+}
+
+
+def test_only_the_named_tests_start_another_process():
+    # every other test runs the CLI in-process, where an uncaught exception
+    # or a warning fails it just as well, so tier-1 pays no start-up for it
+    found = {
+        f"{path.stem}.{getattr(node, 'name', node.lineno)}"
+        for path in sorted(Path(__file__).parent.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if SPAWNING & ({*referenced_names(node), *imported_modules(node)})
+    }
+    assert found == FRESH, f"tests that start a process: {sorted(found)}"
 
 
 def step_rules_outside_dynamics(path: Path) -> list:
