@@ -35,7 +35,7 @@ import pytest
 from helpers import FAST_SOLVE, check_golden, read_diffeo_csv, tree_digest
 
 from bfamily.cli import _COMMANDS, _FLAGS, main
-from bfamily.config import parse_config
+from bfamily.config import parse_config, sweep_cells
 from bfamily.dynamics import exp_map, march_dt, solve_geodesic
 from bfamily.errors import ConfigError, SolverError
 from bfamily.io import read_experiment_rows, read_field_csv
@@ -804,6 +804,27 @@ def test_solve_calls_the_solver_bound_in_cli(tmp_path, monkeypatch, formulation,
 
 
 class TestSweep:
+    def test_cells_run_the_b_by_n_product_in_order(self):
+        cfg = parse_config(SWEEP_CFG + "sweep.N = 32,64\n", "sweep")
+        cells = sweep_cells(cfg)
+        assert [name for name, _ in cells] == [
+            "b0_N32", "b0_N64", "b2_N32", "b2_N64", "b3_N32", "b3_N64"
+        ]
+        assert [(c.command, c["params.b"], c["grid.N"]) for _, c in cells] == [
+            ("solve", b, n) for b in (0.0, 2.0, 3.0) for n in (32, 64)
+        ]
+
+    def test_cell_is_the_wrapped_commands_config(self):
+        # every other value, defaults included, and no sweep.* key
+        text = FAST_SOLVE.replace("params.b = 2", "sweep.b = 0.5").replace("grid.N = 64", "")
+        cfg = parse_config(text + "sweep.command = conserve\nsweep.N = 128\n", "sweep")
+        direct = _edit(FAST_SOLVE, ("params.b", 0.5), ("grid.N", 128))
+        assert sweep_cells(cfg) == [("b0.5_N128", parse_config(direct, "conserve"))]
+
+    def test_unset_lists_give_the_configs_own_cell(self):
+        cfg = parse_config(FAST_SOLVE + "sweep.command = solve\n", "sweep")
+        assert sweep_cells(cfg) == [("b2_N64", parse_config(FAST_SOLVE, "solve"))]
+
     def test_three_point_b_sweep(self, tmp_path):
         cfg = write_config(tmp_path, SWEEP_CFG)
         out = tmp_path / "out"
